@@ -14,6 +14,7 @@ from .core import (
     PotentialNorms,
     SystemConfig,
     build_grid,
+    fermi_grid,
     gaussian_truncated,
     inner_product,
     potential_norms,
@@ -75,7 +76,6 @@ from .operators import (
 from .perturbed import (
     AmbiguousEnergyError,
     PerturbedEigenpair,
-    PruferTrajectory,
     bargmann_upper_bound,
     count_below,
     counting_lower_bound,

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .core import ConfigurationError, build_grid, potential_norms
+from .core import ConfigurationError, fermi_grid, potential_norms
 from .free import fermi_energy, free_eigenvalues
 from .metrics import anderson_result, det_bounds
 from .operators import bounds_audit, contour_anderson, gamma_matrix, smallness_report
@@ -27,8 +27,7 @@ __all__ = ["main", "cli_main"]
 
 
 def _add_potential_args(p: argparse.ArgumentParser):
-    p.add_argument("--potential", required=True,
-                   choices=["square_well", "gaussian_truncated", "table"])
+    p.add_argument("--potential", required=True, choices=list(sweep_mod.POTENTIAL_SPECS))
     p.add_argument("--v0", type=float, help="well/bump amplitude")
     p.add_argument("--a", type=float, help="support half-width")
     p.add_argument("--sigma", type=float, help="gaussian width")
@@ -43,10 +42,6 @@ def _potential_spec(args) -> dict:
         if val is not None:
             spec[key] = val
     return spec
-
-
-def _default_grid(V, L, nu, npw=16):
-    return build_grid(L, math.sqrt(nu), support=(-V.a, V.a), nodes_per_wavelength=npw)
 
 
 def _cmd_spectrum(args) -> int:
@@ -75,8 +70,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_gamma(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     nu = args.nu
-    L_ref = max(4.0 * V.a, 2.0)
-    grid = _default_grid(V, L_ref, nu, args.nodes_per_wavelength)
+    grid = fermi_grid(V, V.a, nu, args.nodes_per_wavelength)
     g_s = gamma_scattering(V, nu)
     g_m = gamma_matrix(nu, V, grid)
     g_g = gamma_gkm(V, nu)
@@ -103,7 +97,7 @@ def _cmd_anderson(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     L = (args.N + 0.5) / (2.0 * args.rho)
     nu = fermi_energy(args.N, L)
-    grid = _default_grid(V, L, nu, args.nodes_per_wavelength)
+    grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
     res = anderson_result(args.N, V, L, grid)
     print(f"N = {args.N}, L = {L!r}, nu = {nu!r}")
     print(f"anderson_integral I = {res.anderson_integral!r}")
@@ -161,7 +155,7 @@ def _cmd_audit(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     L = (args.N + 0.5) / (2.0 * args.rho)
     nu = fermi_energy(args.N, L)
-    grid = _default_grid(V, L, nu, args.nodes_per_wavelength)
+    grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
     items = bounds_audit(V, args.N, L, grid)
     res = anderson_result(args.N, V, L, grid)
     report = det_bounds(args.N, V, L, grid, result=res)

@@ -9,8 +9,9 @@ wavenumbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "potential_norms",
     "Grid",
     "build_grid",
+    "fermi_grid",
     "support_quadrature",
     "inner_product",
     "v_transform",
@@ -36,98 +38,96 @@ class ConfigurationError(ValueError):
     """Requested parameters violate a documented precondition."""
 
 
-_FAMILIES = ("square_well", "gaussian_truncated", "table")
+def _table(xs, x, values):
+    return np.interp(x, xs, values, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
+def _gaussian(sigma, a, x, v0):
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= a, v0 * np.exp(-0.5 * (x / sigma) ** 2), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Real-valued potential that vanishes identically outside [-a, a].
 
-    ``family`` selects the functional form, ``params`` holds the
-    family-specific parameters as a flat tuple:
+    ``profile(x, amplitude)`` evaluates V anywhere on the real line and is
+    linear in ``amplitude``, so scaling V scales only the amplitude.  Two
+    profiles exist:
 
-    * ``square_well``:         params = (v0,), V(x) = v0 on the support
-    * ``gaussian_truncated``:  params = (v0, sigma), V(x) = v0 exp(-x^2/2 sigma^2)
-    * ``table``:               params = (xs, values), linear interpolation
+    * ``table_potential``:      linear interpolation through (xs, values),
+      zero outside [xs[0], xs[-1]]; amplitude = values.  The square well is
+      the two-knot table ([-a, a], [v0, v0]).
+    * ``gaussian_truncated``:   v0 exp(-x^2/2 sigma^2) cut off at |x| = a;
+      amplitude = v0.
+
+    ``knots`` are the interior abscissae where V is not smooth.  V is
+    monotone between consecutive points of {-a, 0, a} and the knots, so the
+    extremes ``vmin`` and ``vmax`` over [-a, a] are fixed once, here.
 
     Instances are immutable and safe to share between parallel workers.
     """
 
-    family: str
     a: float
-    params: tuple
+    profile: Callable
+    amplitude: np.ndarray | float
+    knots: np.ndarray
+    vmin: float = field(init=False)
+    vmax: float = field(init=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ConfigurationError(f"unknown potential family {self.family!r}")
         if not (self.a > 0 and math.isfinite(self.a)):
             raise ConfigurationError("support half-width must be positive and finite")
+        self.knots.flags.writeable = False
+        extremes = self(np.concatenate([[-self.a, 0.0, self.a], self.knots]))
+        object.__setattr__(self, "vmin", float(np.min(extremes)))
+        object.__setattr__(self, "vmax", float(np.max(extremes)))
 
     def __call__(self, x):
         """Evaluate V(x); exact zero for |x| > a."""
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) <= self.a
-        if self.family == "square_well":
-            (v0,) = self.params
-            values = np.full_like(x, v0)
-        elif self.family == "gaussian_truncated":
-            v0, sigma = self.params
-            values = v0 * np.exp(-0.5 * (x / sigma) ** 2)
-        else:
-            xs, vals = self.params
-            values = np.interp(x, xs, vals, left=0.0, right=0.0)
-        out = np.where(inside, values, 0.0)
-        return out if out.ndim else float(out)
+        values = self.profile(x, self.amplitude)
+        return values if values.ndim else float(values)
 
     @property
     def sup_abs(self) -> float:
-        """Exact sup |V|, available in closed form for every family."""
-        if self.family == "square_well":
-            return abs(self.params[0])
-        if self.family == "gaussian_truncated":
-            return abs(self.params[0])
-        return float(np.max(np.abs(self.params[1])))
-
-    def knots(self) -> np.ndarray:
-        """Interior abscissae where V is not smooth (table breakpoints)."""
-        if self.family == "table":
-            xs = np.asarray(self.params[0])
-            return xs[(xs > -self.a) & (xs < self.a)]
-        return np.empty(0)
+        """Exact sup |V|."""
+        return max(self.vmax, -self.vmin)
 
 
 def square_well(v0: float, a: float) -> Potential:
-    """Constant well/barrier of height v0 on [-a, a]."""
-    return Potential("square_well", float(a), (float(v0),))
+    """Constant well/barrier of height v0 on [-a, a]: the two-knot table
+    through (-a, v0) and (a, v0)."""
+    a = float(a)
+    if not (a > 0 and math.isfinite(a)):
+        raise ConfigurationError("support half-width must be positive and finite")
+    return table_potential([-a, a], [v0, v0])
 
 
 def gaussian_truncated(v0: float, sigma: float, a: float) -> Potential:
     """Gaussian bump v0 exp(-x^2 / 2 sigma^2) cut off at |x| = a."""
     if sigma <= 0:
         raise ConfigurationError("sigma must be positive")
-    return Potential("gaussian_truncated", float(a), (float(v0), float(sigma)))
+    return Potential(float(a), partial(_gaussian, float(sigma), float(a)),
+                     float(v0), np.empty(0))
 
 
 def table_potential(xs, values) -> Potential:
     """Piecewise-linear potential through the given (x, V) samples."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    xs = np.array(xs, dtype=float)
+    values = np.array(values, dtype=float)
     if xs.ndim != 1 or xs.shape != values.shape or xs.size < 2:
         raise ConfigurationError("table potential needs matching 1-d abscissae/values")
     if np.any(np.diff(xs) <= 0):
         raise ConfigurationError("table abscissae must be strictly increasing")
-    a = max(abs(xs[0]), abs(xs[-1]))
-    return Potential("table", float(a), (tuple(xs), tuple(values)))
+    a = float(max(abs(xs[0]), abs(xs[-1])))
+    xs.flags.writeable = False
+    values.flags.writeable = False
+    return Potential(a, partial(_table, xs), values, xs[(xs > -a) & (xs < a)])
 
 
 def scale_potential(V: Potential, c: float) -> Potential:
     """The potential c*V with the same support."""
-    if V.family == "square_well":
-        return square_well(c * V.params[0], V.a)
-    if V.family == "gaussian_truncated":
-        return gaussian_truncated(c * V.params[0], V.params[1], V.a)
-    xs, vals = V.params
-    return table_potential(xs, [c * v for v in vals])
+    return Potential(V.a, V.profile, c * V.amplitude, V.knots)
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,20 @@ def build_grid(
     return Grid(nodes, weights, bounds)
 
 
+def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16,
+               nodes_per_panel: int = 12) -> Grid:
+    """Grid on [-L, L] resolving the Fermi wavenumber sqrt(nu), with panel
+    breaks at the support of V.  With L = V.a it covers the support alone,
+    which is all the operator routes read."""
+    return build_grid(L, math.sqrt(nu), support=(-V.a, V.a),
+                      nodes_per_wavelength=nodes_per_wavelength,
+                      nodes_per_panel=nodes_per_panel)
+
+
 def support_quadrature(V: Potential, nodes_per_panel: int = 12, panels: int = 16) -> Grid:
     """Quadrature covering exactly the support of V, with panel boundaries at
     the table breakpoints so piecewise-smooth families integrate cleanly."""
-    breaks = np.unique(np.concatenate([[-V.a, 0.0, V.a], V.knots()]))
+    breaks = np.unique(np.concatenate([[-V.a, 0.0, V.a], V.knots]))
     width = 2.0 * V.a / panels
     nodes, weights, bounds = _panelize(breaks, [width] * (len(breaks) - 1), nodes_per_panel)
     return Grid(nodes, weights, bounds)
@@ -254,8 +264,7 @@ class PotentialNorms:
 
 
 def potential_norms(V: Potential, grid: Grid | None = None) -> PotentialNorms:
-    """Quadrature norms of V; sup norms combine dense sampling with the
-    family's exact maximum."""
+    """Quadrature norms of V; the sup norms are read off V's exact extremes."""
     if grid is None:
         grid = support_quadrature(V)
     x, w = grid.nodes, grid.weights
@@ -265,18 +274,7 @@ def potential_norms(V: Potential, grid: Grid | None = None) -> PotentialNorms:
     x1 = float(w @ (np.abs(x) * av))
     x2 = float(w @ (x * x * av))
     l1p = float(w @ np.clip(v, 0.0, None))
-
-    xs = np.linspace(-V.a, V.a, 4 * max(grid.size, 64) + 1)
-    vs = V(xs)
-    linf = max(float(np.max(np.abs(vs))), V.sup_abs)
-    linf_minus = float(np.max(-np.clip(vs, None, 0.0)))
-    if V.family == "square_well" and V.params[0] < 0:
-        linf_minus = abs(V.params[0])
-    elif V.family == "gaussian_truncated" and V.params[0] < 0:
-        linf_minus = abs(V.params[0])
-    elif V.family == "table":
-        linf_minus = max(linf_minus, float(np.max(-np.clip(V.params[1], None, 0.0))))
-    return PotentialNorms(l1, linf, x1, x2, l1p, linf_minus)
+    return PotentialNorms(l1, V.sup_abs, x1, x2, l1p, max(0.0, -V.vmin))
 
 
 def inner_product(f, g, grid: Grid):

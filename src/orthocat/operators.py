@@ -69,9 +69,6 @@ class NystromOperator:
         """L^2 operator norm (largest singular value of the symmetrization)."""
         return float(np.linalg.norm(self.symmetrized, 2))
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ f
-
 
 @dataclass(frozen=True)
 class SignOperator:

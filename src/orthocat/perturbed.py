@@ -27,7 +27,6 @@ from .odes import SolverFailure, adaptive_ivp
 
 __all__ = [
     "AmbiguousEnergyError",
-    "PruferTrajectory",
     "prufer_phase",
     "perturbed_eigenvalue",
     "PerturbedEigenpair",
@@ -41,15 +40,6 @@ __all__ = [
 
 class AmbiguousEnergyError(ValueError):
     """The probe energy sits within tolerance of an eigenvalue."""
-
-
-@dataclass(frozen=True)
-class PruferTrajectory:
-    mu: float
-    theta_final: float
-    sigma: float
-    n_steps: int
-    tol: float
 
 
 def _phase_free_advance(theta: float, mu: float, sigma: float, dx: float) -> float:
@@ -79,13 +69,11 @@ def _phase_free_advance(theta: float, mu: float, sigma: float, dx: float) -> flo
     return base + (alpha - base) % (2.0 * math.pi)
 
 
-def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10,
-                 return_trajectory: bool = False):
+def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10) -> float:
     """Phase theta(L, mu) of the shooting solution with theta(-L, mu) = 0."""
     a = min(V.a, L)
     sigma = math.sqrt(mu) if mu > 0.0 else 1.0
     theta = _phase_free_advance(0.0, mu, sigma, L - a)
-    n_steps = 0
     if a > 0.0:
         def rhs(x, y):
             s2 = math.sin(y[0]) ** 2
@@ -93,11 +81,7 @@ def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10,
 
         sol = adaptive_ivp(rhs, -a, a, [theta], rtol=tol, atol=0.01 * tol)
         theta = float(sol.y[0, -1])
-        n_steps = sol.t.size
-    theta = _phase_free_advance(theta, mu, sigma, L - a)
-    if return_trajectory:
-        return PruferTrajectory(mu, theta, sigma, n_steps, tol)
-    return theta
+    return _phase_free_advance(theta, mu, sigma, L - a)
 
 
 def perturbed_eigenvalue(k: int, V: Potential, L: float, tol: float = 1e-10) -> float:

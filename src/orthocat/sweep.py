@@ -21,13 +21,16 @@ import numpy as np
 from .core import (
     ConfigurationError,
     Potential,
-    build_grid,
+    fermi_grid,
     gaussian_truncated,
     square_well,
     table_potential,
 )
+from .free import NearSpectrumError
 from .metrics import AndersonResult, anderson_result
+from .odes import SolverFailure
 from .operators import gamma_matrix, smallness_report
+from .perturbed import AmbiguousEnergyError
 from .scattering import gamma_gkm, gamma_scattering
 
 __all__ = [
@@ -46,6 +49,12 @@ __all__ = [
 CSV_HEADER = "N,L,I,lnD,defect_norm,M,status"
 
 _WORKERS_ENV = "ORTHOCAT_WORKERS"
+
+# Failures that mark one row as failed: a box smaller than the support, or a
+# numerical failure.  Any other exception is a fault in the program and
+# propagates.
+_ROW_FAILURES = (ConfigurationError, SolverFailure, AmbiguousEnergyError,
+                 NearSpectrumError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -70,27 +79,36 @@ class SweepConfig:
             raise ConfigurationError("tolerances must lie in (0, 1)")
         if not 0.0 < self.fit_fraction <= 1.0:
             raise ConfigurationError("fit fraction must lie in (0, 1]")
+        if self.workers < 1:
+            raise ConfigurationError("workers must be a positive integer")
 
     @property
     def nu(self) -> float:
         return (math.pi * self.rho) ** 2
 
 
+def _floats(text) -> list:
+    return [float(t) for t in str(text).split(",")]
+
+
+# Potential families by their config and command-line names.
+POTENTIAL_SPECS = {
+    "square_well": lambda s: square_well(float(s["v0"]), float(s["a"])),
+    "gaussian_truncated": lambda s: gaussian_truncated(
+        float(s["v0"]), float(s["sigma"]), float(s["a"])),
+    "table": lambda s: table_potential(_floats(s["abscissae"]), _floats(s["values"])),
+}
+
+
 def potential_from_spec(spec: dict) -> Potential:
     """Build a potential from a flat key-value mapping (config file or CLI)."""
     family = spec.get("family")
+    if family not in POTENTIAL_SPECS:
+        raise ConfigurationError(f"unknown potential family {family!r}")
     try:
-        if family == "square_well":
-            return square_well(float(spec["v0"]), float(spec["a"]))
-        if family == "gaussian_truncated":
-            return gaussian_truncated(float(spec["v0"]), float(spec["sigma"]), float(spec["a"]))
-        if family == "table":
-            xs = [float(t) for t in str(spec["abscissae"]).split(",")]
-            vals = [float(t) for t in str(spec["values"]).split(",")]
-            return table_potential(xs, vals)
+        return POTENTIAL_SPECS[family](spec)
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"bad potential spec {spec}: {exc}") from exc
-    raise ConfigurationError(f"unknown potential family {family!r}")
 
 
 def load_config(path: str) -> SweepConfig:
@@ -175,13 +193,7 @@ class SweepResult:
 def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
     L = (n + 0.5) / (2.0 * config.rho)
-    grid = build_grid(
-        L,
-        math.sqrt(config.nu),
-        support=(-V.a, V.a),
-        nodes_per_wavelength=config.nodes_per_wavelength,
-        nodes_per_panel=config.nodes_per_panel,
-    )
+    grid = fermi_grid(V, L, config.nu, config.nodes_per_wavelength, config.nodes_per_panel)
     res: AndersonResult = anderson_result(n, V, L, grid, tol=config.eigen_tol)
     return SweepRow(
         n, L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok"
@@ -191,15 +203,25 @@ def _run_row(config: SweepConfig, n: int) -> SweepRow:
 def _safe_row(config: SweepConfig, n: int) -> SweepRow:
     try:
         return _run_row(config, n)
-    except Exception:
+    except _ROW_FAILURES:
         L = (n + 0.5) / (2.0 * config.rho)
         return SweepRow(n, L, math.nan, math.nan, math.nan, -1, "failed")
+
+
+def _worker_count(config: SweepConfig) -> int:
+    """The worker count: ORTHOCAT_WORKERS if set, else the config's."""
+    raw = os.environ.get(_WORKERS_ENV)
+    if raw is None:
+        return config.workers
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigurationError(f"{_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute the sweep, fit the Anderson integral against log N over the
     configured upper window, and attach the three analytic gamma values."""
-    workers = int(os.environ.get(_WORKERS_ENV, config.workers))
+    workers = _worker_count(config)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {n: pool.submit(_safe_row, config, n) for n in config.n_list}
@@ -221,15 +243,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     g_scatter = gamma_scattering(V, nu)
     g_gkm = gamma_gkm(V, nu)
 
-    def grid_for(npw):
-        a = V.a
-        L_ref = max(2.0 * a, (config.n_list[0] + 0.5) / (2.0 * config.rho))
-        return build_grid(L_ref, math.sqrt(nu), support=(-a, a),
-                          nodes_per_wavelength=npw,
-                          nodes_per_panel=config.nodes_per_panel)
-
-    g_matrix = gamma_matrix(nu, V, grid_for(config.nodes_per_wavelength))
-    g_matrix_fine = gamma_matrix(nu, V, grid_for(2 * config.nodes_per_wavelength))
+    npw, npp = config.nodes_per_wavelength, config.nodes_per_panel
+    g_matrix = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, npw, npp))
+    g_matrix_fine = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, 2 * npw, npp))
     residuals = tuple(r.anderson - g_scatter * math.log(r.n) for r in good)
 
     return SweepResult(

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from orthocat.core import (
-    build_grid,
     gaussian_truncated,
     potential_norms,
     square_well,
@@ -37,11 +36,9 @@ from orthocat.perturbed import (
 from orthocat.scattering import gamma_gkm, gamma_scattering, scattering_coefficients
 from orthocat.sweep import CSV_HEADER, SweepConfig, run_sweep, write_csv
 
+from conftest import grid_for
+
 NU = math.pi**2
-
-
-def _grid(L, a=1.0, npw=16):
-    return build_grid(L, math.sqrt(NU), support=(-a, a), nodes_per_wavelength=npw)
 
 
 def _report(num, ok, detail):
@@ -67,7 +64,7 @@ def corpus_results():
     for V, name in CORPUS:
         for n in (10, 20):
             L = (n + 0.5) / 2.0
-            grid = _grid(L, a=V.a)
+            grid = grid_for(L, a=V.a)
             out.append((V, name, n, L, grid, anderson_result(n, V, L, grid)))
     return out
 
@@ -80,7 +77,7 @@ def test_criterion_01_free_problem_exactness():
         abs(perturbed_eigenvalue(j, V, L) - free_eigenvalue(j, L)) / free_eigenvalue(j, L)
         for j in range(1, 21)
     )
-    grid = _grid(L)
+    grid = grid_for(L)
     ov = overlap_matrix(20, V, L, grid)
     id_err = float(np.max(np.abs(ov.matrix - np.eye(20))))
     res = anderson_result(20, V, L, grid)
@@ -105,7 +102,7 @@ def test_criterion_02_gamma_triple_agreement():
         g_s = gamma_scattering(V, NU)
         g_g = gamma_gkm(V, NU)
         gkm_gap = abs(g_g - g_s)
-        errs = [abs(gamma_matrix(NU, V, _grid(5.25, npw=npw)) - g_s) for npw in (16, 32, 64)]
+        errs = [abs(gamma_matrix(NU, V, grid_for(5.25, npw=npw)) - g_s) for npw in (16, 32, 64)]
         ok &= gkm_gap <= 1e-10 and errs[0] <= 1e-4 and errs[1] < errs[0] and errs[2] < errs[1]
         details.append(f"v0={v0}: gkm {gkm_gap:.1e}, matrix {errs[0]:.1e}>{errs[1]:.1e}>{errs[2]:.1e}")
     elapsed = time.perf_counter() - t0
@@ -232,7 +229,7 @@ def test_criterion_10_contour_route():
     V = square_well(0.1, 1.0)
     n = 10
     L = (n + 0.5) / 2.0
-    grid = _grid(L)
+    grid = grid_for(L)
     res = anderson_result(n, V, L, grid)
     same_rank = res.m == n
     ci = contour_anderson(n, V, L, grid)

@@ -70,6 +70,25 @@ class TestPotentials:
         assert abs(norms.x2_l1 - 1.0 / 3.0) < 1e-12
         assert norms.linf_minus == 0.5
 
+    def test_sup_norms_match_dense_samples(self, well_attractive, well_repulsive, well_weak,
+                                           gauss_bump, table_mixed):
+        for V in (well_attractive, well_repulsive, well_weak, gauss_bump, table_mixed,
+                  gaussian_truncated(-0.3, 0.5, 1.5), scale_potential(table_mixed, -2.0)):
+            vs = V(np.linspace(-V.a, V.a, 4097))
+            norms = potential_norms(V)
+            assert norms.linf == np.max(np.abs(vs))
+            assert norms.linf_minus == np.max(-np.clip(vs, None, 0.0))
+
+    def test_square_well_exact_at_support_edges(self):
+        V = square_well(-0.37, 1.3)
+        assert V(1.3) == -0.37
+        assert V(-1.3) == -0.37
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.inf, math.nan])
+    def test_square_well_rejects_bad_support(self, a):
+        with pytest.raises(ConfigurationError):
+            square_well(-0.5, a)
+
     def test_gaussian_l1_against_adaptive_quadrature(self):
         V = gaussian_truncated(0.7, 0.4, 1.2)
         ref, _ = quad(lambda x: abs(V(x)), -1.2, 1.2, epsabs=1e-12)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import orthocat.sweep as sweep_mod
 from orthocat.cli import cli_main
 from orthocat.core import ConfigurationError
 from orthocat.sweep import (
@@ -53,6 +54,8 @@ class TestConfig:
             SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(8, 5))
         with pytest.raises(ConfigurationError):
             SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(5, 8), eigen_tol=2.0)
+        with pytest.raises(ConfigurationError):
+            SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(5, 8), workers=0)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "sweep.toml"
@@ -154,6 +157,21 @@ class TestRunSweep:
         lines = (tmp_path / "f.csv").read_text().splitlines()
         assert lines[1].startswith("1,") and lines[1].endswith(",failed")
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only numerical failures mark a row as failed; a fault in the
+        # program must stop the sweep instead of hiding in a failed row
+        real = sweep_mod.anderson_result
+
+        def faulty(n, *args, **kwargs):
+            if n == 8:
+                raise TypeError("injected fault")
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "anderson_result", faulty)
+        cfg = make_config(tmp_path, n_list=(5, 8, 12, 16), workers=1)
+        with pytest.raises(TypeError, match="injected fault"):
+            run_sweep(cfg)
+
 
 class TestCli:
     def test_gamma_subcommand(self, capsys):
@@ -220,6 +238,17 @@ class TestCli:
     def test_missing_config_exits_2(self, capsys):
         code = cli_main(["sweep", "--config", "/does/not/exist.toml"])
         capsys.readouterr()
+        assert code == 2
+
+    def test_non_integer_worker_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "s.toml"
+        cfg_path.write_text(
+            "[potential]\nfamily = square_well\nv0 = -0.5\na = 1.0\n\n"
+            "[sweep]\nrho = 1.0\nn_list = 5,8,12\n"
+        )
+        monkeypatch.setenv("ORTHOCAT_WORKERS", "abc")
+        code = cli_main(["sweep", "--config", str(cfg_path)])
+        assert "ORTHOCAT_WORKERS" in capsys.readouterr().err
         assert code == 2
 
     def test_bad_potential_family_exits_2(self, capsys):

@@ -1,4 +1,5 @@
-"""Shared adaptive Runge-Kutta core for the shooting and scattering solvers."""
+"""Adaptive Runge-Kutta core of the scattering solver, and the error that
+the scattering and eigenvalue solvers raise when they fail."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ __all__ = ["SolverFailure", "adaptive_ivp"]
 
 
 class SolverFailure(RuntimeError):
-    """The adaptive integrator could not meet its tolerance."""
+    """A solver failed: the adaptive integrator could not meet its tolerance,
+    or an eigenvalue could not be bracketed or did not converge."""
 
 
 def adaptive_ivp(rhs, x0, x1, y0, *, rtol=1e-10, atol=1e-12, t_eval=None):

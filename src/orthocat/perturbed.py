@@ -1,16 +1,26 @@
-"""Dirichlet eigenproblem for -psi'' + V psi = mu psi on [-L, L] via the
-modified Pruefer phase, plus the eigenvalue-counting bounds.
+"""Dirichlet eigenproblem for -psi'' + V psi = mu psi on [-L, L] by a batched
+Magnus propagator, plus the eigenvalue-counting bounds.
 
-The phase angle theta is defined through (psi'/sigma, psi) = r (cos, sin)
-with a positive frequency scale sigma.  For mu > 0 we take sigma = sqrt(mu),
-which makes theta advance exactly at rate sqrt(mu) wherever V vanishes; the
-eigenvalue condition is theta(L, mu_k) = k pi and theta(L, .) is strictly
-increasing, so each eigenvalue is a bracketed scalar root.  For mu <= 0
-(attractive wells push the lowest levels below zero once L is large) we keep
-sigma = 1 and advance the phase across the force-free outer intervals with the
-exact hyperbolic update, which never overflows because only tanh factors
-appear.  Zero counting, and hence the root condition, is independent of the
-sigma convention.
+The modified Pruefer phase theta is defined through (psi'/sigma, psi) =
+r (cos, sin) with sigma = sqrt(mu) for mu > 0 and sigma = 1 otherwise.  The
+eigenvalue condition is theta(L, mu_k) = k pi, and theta(L, .) is strictly
+increasing.  Zero counting, and hence the root condition, is independent of
+the sigma convention.
+
+Outside the support [-a, a] of V the phase is closed form: it advances at
+rate sqrt(mu) for mu > 0, and for mu <= 0 (attractive wells push the lowest
+levels below zero once L is large) by the exact hyperbolic update, which
+never overflows because only tanh factors appear.  Across the support,
+(psi, psi') is advanced for many energies at once by the fourth-order Magnus
+step with two Gauss-Legendre points (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 2009), whose exponential of a traceless 2x2 matrix is closed form; the
+step is exact where V is constant.  Steps break at -a, 0, a and every knot of
+V, and are short enough that the phase moves by less than pi per step, so it
+is unwrapped step by step from atan2(sigma psi, psi').
+
+All eigenvalues of a row come from one vectorized Illinois iteration inside
+the min-max brackets, and all eigenfunctions from one more pass that also
+steps through the support nodes of the grid and samples psi there.
 """
 
 from __future__ import annotations
@@ -19,11 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Grid, Potential, potential_norms
 from .free import free_eigenvalue
-from .odes import SolverFailure, adaptive_ivp
+from .odes import SolverFailure
 
 __all__ = [
     "AmbiguousEnergyError",
@@ -37,13 +46,27 @@ __all__ = [
     "counting_lower_bound",
 ]
 
+_SQRT3 = math.sqrt(3.0)
+_TWO_PI = 2.0 * math.pi
+# Largest h * sqrt(max |V - mu|) of a step.  The angle atan2(k psi, psi')
+# with k^2 >= |V - mu| turns at rate at most k, so a step crosses at most one
+# quadrant boundary, which every sigma convention shares; the Pruefer phase
+# therefore moves by less than pi per step.
+_STEP_PHASE = 1.0
+# Where V is not constant the step is also at most _STEP_SCALE * tol^(1/4),
+# the fourth-order rate.
+_STEP_SCALE = 3.0
+# Step-by-energy entries of the step exponentials held at once.
+_BLOCK = 1 << 12
+
 
 class AmbiguousEnergyError(ValueError):
     """The probe energy sits within tolerance of an eigenvalue."""
 
 
-def _phase_free_advance(theta: float, mu: float, sigma: float, dx: float) -> float:
-    """Exact phase update over an interval of length dx where V = 0.
+def _phase_free_advance(theta, mu, sigma, dx: float):
+    """Exact phase update over an interval of length dx where V = 0, for
+    arrays of phases, energies and frequency scales.
 
     For mu > 0 with sigma = sqrt(mu) the update is linear.  Otherwise the
     hyperbolic solution is propagated in tanh form and the branch is fixed by
@@ -52,71 +75,163 @@ def _phase_free_advance(theta: float, mu: float, sigma: float, dx: float) -> flo
     """
     if dx <= 0.0:
         return theta
-    if mu > 0.0:
-        return theta + math.sqrt(mu) * dx
-
-    kap2 = -mu
-    if kap2 * dx * dx < 1e-16:
-        t_over_k = dx
-    else:
-        kap = math.sqrt(kap2)
-        t_over_k = math.tanh(kap * dx) / kap
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    kap2 = np.maximum(-mu, 0.0)
+    kap = np.sqrt(kap2)
+    t_over_k = np.where(kap2 * dx * dx < 1e-16, dx,
+                        np.tanh(kap * dx) / np.where(kap > 0.0, kap, 1.0))
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     num = sigma * (sin_t + sigma * cos_t * t_over_k)
     den = kap2 * t_over_k * sin_t + sigma * cos_t
-    alpha = math.atan2(num, den)
-    base = math.floor(theta / math.pi) * math.pi
-    return base + (alpha - base) % (2.0 * math.pi)
+    base = np.floor(theta / math.pi) * math.pi
+    hyperbolic = base + (np.arctan2(num, den) - base) % _TWO_PI
+    return np.where(mu > 0.0, theta + np.sqrt(np.maximum(mu, 0.0)) * dx, hyperbolic)
+
+
+def _mesh(V: Potential, a: float, emin: float, emax: float, tol: float, extra=None):
+    """Step points from -a to a for energies in [emin, emax], plus ``extra``.
+
+    The breaks -a, 0, a and the knots of V split the support into pieces on
+    which V is smooth and monotone (see ``Potential``), so a piece whose ends
+    carry the same value is constant and its steps are exact.
+    """
+    knots = V.knots[np.abs(V.knots) < a]
+    breaks = np.unique(np.concatenate([[-a, 0.0, a], knots]))
+    flat = np.diff(V(breaks)) == 0.0
+    spread = max(abs(V.vmax - emin), abs(V.vmin - emax))
+    h_flat = _STEP_PHASE / math.sqrt(spread) if spread > 0.0 else math.inf
+    h_smooth = min(h_flat, _STEP_SCALE * tol**0.25)
+    pieces = []
+    for lo, hi, f in zip(breaks[:-1], breaks[1:], flat):
+        steps = max(1, math.ceil((hi - lo) / (h_flat if f else h_smooth)))
+        pieces.append(np.linspace(lo, hi, steps + 1)[:-1])
+    points = np.append(np.concatenate(pieces), a)
+    return points if extra is None else np.union1d(points, extra)
+
+
+def _magnus(points, V: Potential, mus, u, p):
+    """Advance (psi, psi') of -psi'' + V psi = mu psi from points[0] to each
+    later point, for every energy in ``mus`` at once.
+
+    V is evaluated once, at the two Gauss-Legendre points of every step.
+    With q = V - mu the step is exp(Omega), Omega = [[c, h], [h qbar, -c]],
+    where qbar is the mean of q at the two points and c = sqrt(3)/12 h^2
+    (V1 - V2) does not depend on mu; exp(Omega) = C I + S Omega with
+    (C, S) = (cosh w, sinh w / w) for w^2 = c^2 + h^2 qbar >= 0 and the
+    trigonometric forms otherwise.  Yields the states at the step ends, a
+    block of steps at a time, as two arrays of shape (steps, energies).
+    """
+    h = np.diff(points)
+    mid = 0.5 * (points[1:] + points[:-1])
+    offset = (_SQRT3 / 6.0) * h
+    v1, v2 = np.split(V(np.concatenate([mid - offset, mid + offset])), 2)
+    c = (_SQRT3 / 12.0) * h * h * (v1 - v2)
+    block = max(1, _BLOCK // mus.size)
+    for s in range(0, h.size, block):
+        hb, cb = h[s:s + block, None], c[s:s + block, None]
+        hq = hb * (0.5 * (v1[s:s + block] + v2[s:s + block])[:, None] - mus)
+        w2 = cb * cb + hb * hq
+        w = np.sqrt(np.abs(w2))
+        grows = w2 > 0.0
+        small = np.abs(w2) < 1e-8
+        cosine = np.where(grows, np.cosh(w), np.cos(w))
+        sine = np.where(small, 1.0 + w2 / 6.0,
+                        np.where(grows, np.sinh(w), np.sin(w)) / np.where(small, 1.0, w))
+        m11, m12 = cosine + sine * cb, sine * hb
+        m21, m22 = sine * hq, cosine - sine * cb
+        us, ps = np.empty_like(m11), np.empty_like(m11)
+        for a11, a12, a21, a22, u_out, p_out in zip(m11, m12, m21, m22, us, ps):
+            np.add(a11 * u, a12 * p, out=u_out)
+            np.add(a21 * u, a22 * p, out=p_out)
+            u, p = u_out, p_out
+        yield us, ps
+
+
+def _phases(mus, V: Potential, L: float, points):
+    """theta(L, mu) for every energy in ``mus``, stepping through ``points``
+    across the support.  Only the running state and phase are kept."""
+    a = points[-1]
+    sigma = np.where(mus > 0.0, np.sqrt(np.abs(mus)), 1.0)
+    theta = _phase_free_advance(np.zeros_like(mus), mus, sigma, L - a)
+    last = theta
+    for us, ps in _magnus(points, V, mus, np.sin(theta), sigma * np.cos(theta)):
+        angles = np.arctan2(sigma * us, ps)
+        turns = np.diff(angles, axis=0, prepend=last[None])
+        theta = theta + np.sum(turns - _TWO_PI * np.round(turns / _TWO_PI), axis=0)
+        last = angles[-1]
+    if not np.all(np.isfinite(theta)):
+        raise SolverFailure("Magnus propagation across the support overflowed")
+    return _phase_free_advance(theta, mus, sigma, L - a)
 
 
 def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10) -> float:
-    """Phase theta(L, mu) of the shooting solution with theta(-L, mu) = 0."""
-    a = min(V.a, L)
-    sigma = math.sqrt(mu) if mu > 0.0 else 1.0
-    theta = _phase_free_advance(0.0, mu, sigma, L - a)
-    if a > 0.0:
-        def rhs(x, y):
-            s2 = math.sin(y[0]) ** 2
-            return ((mu - V(x)) * s2 / sigma + sigma * (1.0 - s2),)
+    """Phase theta(L, mu) of the shooting solution with theta(-L, mu) = 0.
 
-        sol = adaptive_ivp(rhs, -a, a, [theta], rtol=tol, atol=0.01 * tol)
-        theta = float(sol.y[0, -1])
-    return _phase_free_advance(theta, mu, sigma, L - a)
+    ``tol`` sets the step width where V is not constant."""
+    mu = float(mu)
+    points = _mesh(V, min(V.a, L), mu, mu, tol)
+    return float(_phases(np.array([mu]), V, L, points)[0])
+
+
+def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
+    """Eigenvalues mu_k for an array of indices k >= 1.
+
+    By min-max each root lies within ||V||_inf of the free eigenvalue; a
+    bracket widens geometrically if its sign change is not found at once.
+    One Illinois iteration then refines every root on one fixed step set.  As
+    in brentq, an iterate keeps half the tolerance xtol + rtol |mu| away from
+    both ends, a root is done once its bracket is narrower than that
+    tolerance, and the secant root of its final bracket is returned.
+    """
+    lam = np.array([free_eigenvalue(int(k), L) for k in ks])
+    target = math.pi * ks
+    pad = V.sup_abs + 1e-3 * np.maximum(1.0, lam)
+    lo, hi = lam - pad, lam + pad
+    phase_tol = max(1e-13, 0.01 * tol)
+    for _ in range(60):
+        points = _mesh(V, min(V.a, L), lo.min(), hi.max(), phase_tol)
+        f_lo, f_hi = np.split(_phases(np.concatenate([lo, hi]), V, L, points)
+                              - np.tile(target, 2), 2)
+        low, high = f_lo >= 0.0, f_hi <= 0.0
+        if not (low.any() or high.any()):
+            break
+        lo = np.where(low, lam - 2.0 * (lam - lo), lo)
+        hi = np.where(high, lam + 2.0 * (hi - lam), hi)
+    else:
+        raise SolverFailure(f"no bracket for eigenvalues {ks[low | high].tolist()}")
+
+    xtol = max(1e-14, tol * 1e-2) * np.maximum(1.0, np.abs(lam))
+    rtol = max(4e-16, tol)
+    mus = np.empty_like(lam)
+    todo = np.arange(lam.size)
+    g_lo, g_hi = f_lo, f_hi    # residuals at the ends; f_lo, f_hi carry the weights
+    side = np.zeros_like(lam)  # -1 (+1): the last iterate replaced lo (hi)
+    for _ in range(200):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        xtol_x = xtol + rtol * np.abs(x)
+        x = np.clip(x, lo + 0.5 * xtol_x, hi - 0.5 * xtol_x)
+        fx = _phases(x, V, L, points) - target
+        below = fx < 0.0
+        # Illinois: halve the weight of an end that survives twice
+        f_hi = np.where(below & (side < 0.0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~below & (side > 0.0), 0.5 * f_lo, f_lo)
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        f_lo, g_lo = np.where(below, fx, f_lo), np.where(below, fx, g_lo)
+        f_hi, g_hi = np.where(below, f_hi, fx), np.where(below, g_hi, fx)
+        side = np.where(below, -1.0, 1.0)
+        done = (fx == 0.0) | (hi - lo <= xtol_x)
+        mus[todo[done]] = (hi - g_hi * (hi - lo) / (g_hi - g_lo))[done]
+        left = ~done
+        if not left.any():
+            return mus
+        todo, target, xtol, lo, hi, f_lo, f_hi, g_lo, g_hi, side = (
+            arr[left] for arr in (todo, target, xtol, lo, hi, f_lo, f_hi, g_lo, g_hi, side))
+    raise SolverFailure(f"eigenvalues {ks[todo].tolist()} did not converge")
 
 
 def perturbed_eigenvalue(k: int, V: Potential, L: float, tol: float = 1e-10) -> float:
     """k-th Dirichlet eigenvalue of -d^2/dx^2 + V as the root of
-    theta(L, mu) = k pi, bracketed around the free eigenvalue.
-
-    By min-max the root lies within ||V||_inf of the free eigenvalue; the
-    bracket widens geometrically if a sign change is not found at once.
-    """
-    if k < 1:
-        raise ValueError("eigenvalue index starts at 1")
-    lam = free_eigenvalue(k, L)
-    ode_tol = max(1e-13, 0.01 * tol)
-    target = k * math.pi
-
-    def f(mu):
-        return prufer_phase(mu, V, L, tol=ode_tol) - target
-
-    pad = V.sup_abs + 1e-3 * max(1.0, lam)
-    lo, hi = lam - pad, lam + pad
-    for _ in range(60):
-        if f(lo) < 0.0:
-            break
-        lo = lam - 2.0 * (lam - lo)
-    else:
-        raise SolverFailure(f"no lower bracket for eigenvalue {k}")
-    for _ in range(60):
-        if f(hi) > 0.0:
-            break
-        hi = lam + 2.0 * (hi - lam)
-    else:
-        raise SolverFailure(f"no upper bracket for eigenvalue {k}")
-
-    xtol = max(1e-14, tol * 1e-2) * max(1.0, abs(lam))
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=max(4e-16, tol), maxiter=200))
+    theta(L, mu) = k pi, bracketed around the free eigenvalue."""
+    return float(_eigenvalues(np.array([k]), V, L, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -170,59 +285,59 @@ def _right_tail(x, mu, L, a, psi_a, dpsi_a):
     return psi_a * (L - x) / (L - a)
 
 
-def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid,
-                            ode_tol: float = 1e-10) -> PerturbedEigenpair:
-    """Normalized eigenfunction samples on the grid for an accepted eigenvalue.
+def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
+    """Normalized eigenfunction samples on the grid for accepted eigenvalues,
+    as rows of an array, and their endpoint residuals.
 
-    The solution is analytic outside the support of V and integrated through
-    it; the overall sign of psi'(-L) copies the free eigenfunction's, so the
-    family deforms continuously from the V = 0 basis.
+    The solution is analytic outside the support of V and propagated through
+    it in one pass, whose step points include the grid's support nodes; the
+    sign of psi'(-L) copies the free eigenfunction's, so the family deforms
+    continuously from the V = 0 basis.
     """
     L = grid.half_length
     a = min(V.a, L)
     x = grid.nodes
-    psi = np.empty_like(x)
+    left, right = x < -a, x > a
+    mid = ~(left | right)
+    psi = np.empty((mus.size, x.size))
+    u, p = np.empty((2, mus.size))
+    for i, mu in enumerate(mus):
+        psi[i, left], u[i], p[i] = _left_tail(x[left], mu, L, a)
+    points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x[mid])
+    states = [u[None]]
+    for us, ps in _magnus(points, V, mus, u, p):
+        states.append(us)
+    states = np.concatenate(states)
+    psi[:, mid] = states[np.searchsorted(points, x[mid])].T
+    psi_a, dpsi_a = states[-1], ps[-1]
 
-    left = x < -a
-    mid = (x >= -a) & (x <= a)
-    right = x > a
+    residuals = np.empty(mus.size)
+    for i, (k, mu) in enumerate(zip(ks, mus)):
+        row = psi[i]
+        row[right] = _right_tail(x[right], mu, L, a, psi_a[i], dpsi_a[i])
+        end_val = float(_right_tail(np.asarray([L]), mu, L, a, psi_a[i], dpsi_a[i])[0])
+        norm = math.sqrt(float(grid.weights @ row**2))
+        row *= _free_boundary_sign(int(k)) / norm
+        residuals[i] = abs(end_val) / norm
+    return psi, residuals
 
-    vals, psi_ma, dpsi_ma = _left_tail(x[left], mu, L, a)
-    psi[left] = vals
 
-    mid_nodes = x[mid]
-    t_eval = np.append(mid_nodes, a)
-
-    def rhs(t, y):
-        return (y[1], (V(t) - mu) * y[0])
-
-    sol = adaptive_ivp(rhs, -a, a, [psi_ma, dpsi_ma], rtol=ode_tol,
-                       atol=0.01 * ode_tol, t_eval=t_eval)
-    psi[mid] = sol.y[0, :-1]
-    psi_a, dpsi_a = sol.y[0, -1], sol.y[1, -1]
-
-    psi[right] = _right_tail(x[right], mu, L, a, psi_a, dpsi_a)
-    end_val = float(_right_tail(np.asarray([L]), mu, L, a, psi_a, dpsi_a)[0])
-
-    sign = _free_boundary_sign(k)
-    norm2 = float(grid.weights @ psi**2)
-    psi *= sign / math.sqrt(norm2)
-    return PerturbedEigenpair(k, mu, psi, sign, abs(end_val) / math.sqrt(norm2))
+def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid) -> PerturbedEigenpair:
+    """Normalized eigenfunction samples on the grid for an accepted eigenvalue."""
+    psi, residuals = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid, 1e-10)
+    return PerturbedEigenpair(k, mu, psi[0], _free_boundary_sign(k), float(residuals[0]))
 
 
 def eigenpairs(n: int, V: Potential, L: float, grid: Grid, tol: float = 1e-10):
     """Eigenvalues and normalized eigenfunction samples for k = 1..n.
 
-    Returns (mus, Psi) with Psi of shape (n, grid.size); rows are independent
-    solves, safe to distribute over workers.
+    Returns (mus, Psi) with Psi of shape (n, grid.size): one root solve for
+    all n eigenvalues, then one propagation pass for all eigenfunctions.
     """
-    mus = np.empty(n)
-    Psi = np.empty((n, grid.size))
-    for k in range(1, n + 1):
-        mu = perturbed_eigenvalue(k, V, L, tol=tol)
-        mus[k - 1] = mu
-        Psi[k - 1] = perturbed_eigenfunction(k, mu, V, grid, ode_tol=tol).psi
-    return mus, Psi
+    ks = np.arange(1, n + 1)
+    mus = _eigenvalues(ks, V, L, tol)
+    psi, _ = _eigenfunctions(ks, mus, V, grid, tol)
+    return mus, psi
 
 
 def count_below(E: float, V: Potential, L: float, phase_tol: float = 1e-8) -> int:

@@ -1,8 +1,9 @@
 """Acceptance gate: every numbered check prints one PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
-logged margins.  The slow sweep check (number 4) dominates the runtime at
-roughly a minute; everything else is seconds.
+logged margins.  The contour cross-validation (number 10) dominates the
+runtime at about 15 seconds; the sweep up to N = 800 (number 4) takes a few
+seconds, and everything else is seconds or less.
 """
 
 import math

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from orthocat.core import potential_norms, square_well
+from orthocat.core import gaussian_truncated, potential_norms, square_well, table_potential
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
 from orthocat.perturbed import (
     AmbiguousEnergyError,
@@ -44,6 +46,106 @@ class TestPruferPhase:
         # below the spectrum the phase stays in (0, pi): no zeros of psi
         theta = prufer_phase(-1.0, well_attractive, 12.0)
         assert 0.0 < theta < math.pi
+
+
+def _reference_phase(mu, V, L):
+    """theta(L, mu) by DOP853 on the Pruefer equation, split at the support
+    edges and the knots of V; shares no code with the solver."""
+    sigma = math.sqrt(mu)
+
+    def rhs(x, y):
+        s2 = math.sin(y[0]) ** 2
+        return [(mu - V(x)) * s2 / sigma + sigma * (1.0 - s2)]
+
+    breaks = np.unique(np.concatenate([[-L, -V.a, V.a, L], V.knots]))
+    theta = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        theta = solve_ivp(rhs, (lo, hi), [theta], method="DOP853",
+                          rtol=1e-13, atol=1e-14).y[0, -1]
+    return theta
+
+
+def _seeded_table(seed):
+    # 13 equally spaced knots on [-1.5, 1.5], zero ends, interior values
+    # uniform in [-0.3, 0.3]
+    values = np.zeros(13)
+    values[1:-1] = np.random.default_rng(seed).uniform(-0.3, 0.3, 11)
+    return table_potential(np.linspace(-1.5, 1.5, 13), values)
+
+
+class TestPhaseReference:
+    @pytest.mark.parametrize("V", [
+        gaussian_truncated(0.3, 0.5, 1.5),
+        gaussian_truncated(-0.4, 0.7, 2.0),
+        table_potential([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.3, -0.2, 0.3, 0.0]),
+        _seeded_table(0),
+        _seeded_table(1),
+    ], ids=["gauss+0.3", "gauss-0.4", "table_mixed", "table_seed0", "table_seed1"])
+    def test_phase_matches_dop853(self, V):
+        L = 5.25
+        for mu in (0.05, 0.5, 2.0, math.pi**2, 40.0, 400.0):
+            err = abs(prufer_phase(mu, V, L) - _reference_phase(mu, V, L))
+            assert err <= 1e-8, (mu, err)
+
+
+def _well_endpoint(mu, v0, a, L):
+    """u(L) for u(-L) = 0, u'(-L) = 1, shot exactly through the three
+    constant pieces of the square well, in mpmath."""
+    u, p = mpmath.mpf(0), mpmath.mpf(1)
+    for e, length in ((mu, L - a), (mu - v0, 2 * a), (mu, L - a)):
+        if e > 0:
+            k = mpmath.sqrt(e)
+            c, s = mpmath.cos(k * length), mpmath.sin(k * length)
+            u, p = u * c + p * s / k, -u * k * s + p * c
+        elif e < 0:
+            k = mpmath.sqrt(-e)
+            c, s = mpmath.cosh(k * length), mpmath.sinh(k * length)
+            u, p = u * c + p * s / k, u * k * s + p * c
+        else:
+            u = u + p * length
+    return u
+
+
+class TestSquareWellOracle:
+    @pytest.mark.parametrize("v0", [-0.5, 0.5])
+    def test_eigenvalues_match_30_digit_oracle(self, v0):
+        L, a = 25.25, 1.0
+        V = square_well(v0, a)
+        mus = [perturbed_eigenvalue(k, V, L, tol=1e-12) for k in range(1, 51)]
+        with mpmath.workdps(30):
+            v0_mp, L_mp = mpmath.mpf(v0), mpmath.mpf(L)
+            oracle = []
+            for mu in mus:
+                d = 1e-9 * max(1.0, abs(mu))
+                oracle.append(mpmath.findroot(lambda m: _well_endpoint(m, v0_mp, a, L_mp),
+                                              (mpmath.mpf(mu - d), mpmath.mpf(mu + d))))
+            # u(L; mu) changes sign at each eigenvalue, so its sign between
+            # consecutive oracle roots proves that no eigenvalue was skipped
+            probes = [oracle[0] - 1] + [(x + y) / 2 for x, y in zip(oracle, oracle[1:])]
+            signs = [mpmath.sign(_well_endpoint(m, v0_mp, a, L_mp)) for m in probes]
+        assert signs == [(-1) ** k for k in range(50)]
+        for k, (mu, ref) in enumerate(zip(mus, oracle), start=1):
+            assert abs(mu - float(ref)) <= 1e-10 * abs(float(ref)), (k, mu, ref)
+
+
+class TestBatchConsistency:
+    def test_batch_mixing_bound_and_box_states(self, well_attractive):
+        L = 20.0
+        mus, _ = eigenpairs(12, well_attractive, L, grid_for(L))
+        assert mus[0] < 0.0 < mus[1]
+        for k, mu in enumerate(mus, start=1):
+            single = perturbed_eigenvalue(k, well_attractive, L)
+            assert abs(mu - single) <= 1e-10 * max(1.0, abs(free_eigenvalue(k, L)))
+
+    def test_count_at_midpoints_between_roots(self, well_attractive):
+        L = 20.0
+        mus, _ = eigenpairs(12, well_attractive, L, grid_for(L))
+        for k, (lo, hi) in enumerate(zip(mus, mus[1:]), start=1):
+            assert count_below(0.5 * (lo + hi), well_attractive, L) == k
+
+    def test_index_zero_rejected(self, well_attractive):
+        with pytest.raises(ValueError):
+            perturbed_eigenvalue(0, well_attractive, 5.25)
 
 
 class TestPerturbedEigenvalue:

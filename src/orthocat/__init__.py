@@ -41,6 +41,7 @@ from .free import (
     green_kernel,
     kappa_n,
     kappa_tilde_n,
+    squared_resolvent_apply,
     tau,
     truncated_resolvent_decomposed,
     truncated_resolvent_direct,
@@ -82,6 +83,7 @@ from .perturbed import (
     eigenpairs,
     perturbed_eigenfunction,
     perturbed_eigenvalue,
+    perturbed_eigenvalues,
     prufer_phase,
 )
 from .scattering import (

@@ -19,7 +19,7 @@ from .core import ConfigurationError, fermi_grid, potential_norms
 from .free import fermi_energy, free_eigenvalues
 from .metrics import anderson_result, det_bounds
 from .operators import bounds_audit, contour_anderson, gamma_matrix, smallness_report
-from .perturbed import bargmann_upper_bound, count_below, counting_lower_bound, perturbed_eigenvalue
+from .perturbed import bargmann_upper_bound, count_below, counting_lower_bound, perturbed_eigenvalues
 from .scattering import gamma_gkm, gamma_scattering
 from . import sweep as sweep_mod
 
@@ -54,9 +54,9 @@ def _cmd_spectrum(args) -> int:
     lams = free_eigenvalues(L, count)
     print(f"# spectrum  L={L!r}  count={count}")
     print("j,lambda_free,mu_perturbed")
-    for j in range(1, count + 1):
-        mu = perturbed_eigenvalue(j, V, L)
-        print(f"{j},{float(lams[j - 1])!r},{mu!r}")
+    mus = perturbed_eigenvalues(range(1, count + 1), V, L)
+    for j, (lam, mu) in enumerate(zip(lams, mus), start=1):
+        print(f"{j},{float(lam)!r},{float(mu)!r}")
     nu = fermi_energy(count, L)
     m = count_below(nu, V, L)
     lower = counting_lower_bound(nu, V, L)

@@ -3,8 +3,11 @@ spectra, Green function, commutator and boundary (delta) kernels, the
 truncated resolvent and its Laplace-transform decomposition.
 
 Everything here is closed form or one-dimensional quadrature; no potential
-enters.  Kernels are evaluated in exponentially rescaled form so they remain
-finite for complex energies far from the real axis even when L is large.
+enters.  On a set of n points the kernels are built from O(n) rescaled
+sine and cosine factors (semi-separable in min(x, y) and max(x, y), or
+separable), so they remain finite for complex energies far from the real axis
+even when L is large, and the squared resolvent is applied through prefix
+sums without being formed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "green_kernel",
     "commutator_kernel",
     "delta_term_kernel",
+    "squared_resolvent_apply",
     "truncated_resolvent_direct",
     "TruncatedResolventParts",
     "truncated_resolvent_decomposed",
@@ -118,80 +122,108 @@ def _sqrt_energy(z) -> complex:
     return np.sqrt(np.asarray(z, dtype=complex))
 
 
-def _scaled_sin(w):
-    """sin(w) * exp(-|Im w|), overflow-free for any |Im w|."""
-    wr, wi = np.real(w), np.imag(w)
-    m = np.abs(wi)
-    return (np.exp(1j * wr - (m + wi)) - np.exp(-1j * wr - (m - wi))) / 2j
+def _trig(w, shift):
+    """sin(w) e^{-shift} and cos(w) e^{-shift}, finite while |Im w| - shift is."""
+    ep, em = np.exp(1j * w - shift), np.exp(-1j * w - shift)
+    return (ep - em) / 2j, (ep + em) / 2.0
 
 
-def _scaled_cos(w):
-    """cos(w) * exp(-|Im w|)."""
-    wr, wi = np.real(w), np.imag(w)
-    m = np.abs(wi)
-    return (np.exp(1j * wr - (m + wi)) + np.exp(-1j * wr - (m - wi))) / 2.0
-
-
-def _check_off_spectrum(rz: complex, L: float):
-    # W(z) = sqrt(z) sin(2 L sqrt(z)) can only be small near the real axis.
-    im = abs(np.imag(2.0 * L * rz))
-    w_scaled = np.abs(_scaled_sin(2.0 * L * rz))
-    if im < 1.0 and np.any(w_scaled * max(abs(rz), 1e-300) < 1e-14 * abs(rz)):
-        raise NearSpectrumError(f"energy too close to the Dirichlet spectrum (|sin 2L sqrt(z)| ~ {w_scaled})")
+def _factors(z, L: float, *points):
+    """sqrt(z), W(z) / sqrt(z) = sin(2 L sqrt(z)) e^{-2mL}, and at each array of
+    points ((sin, cos) of sqrt(z)(t + L) e^{-m(L + c)}, (sin, cos) of
+    sqrt(z)(t - L) e^{-m(L - c)}), m = |Im sqrt(z)|, c the points' midpoint:
+    finite while m span / 2 < 700, and a left factor at min(x, y) times a right
+    one at max(x, y) is at most 1."""
+    rz = complex(_sqrt_energy(z))
+    m = abs(rz.imag)
+    w = _trig(2.0 * L * rz, 2.0 * L * m)[0]
+    if 2.0 * L * m < 1.0 and abs(w) < 1e-14:
+        raise NearSpectrumError(f"energy too close to the Dirichlet spectrum (|sin 2L sqrt(z)| ~ {abs(w)})")
+    points = [np.asarray(t, dtype=float) for t in points]
+    lo, hi = min(t.min(initial=np.inf) for t in points), max(t.max(initial=-np.inf) for t in points)
+    if m * 0.5 * (hi - lo) >= 700.0:  # e^700 ~ 1e304, the largest factor scale
+        raise ValueError(f"|Im sqrt(z)| * span / 2 = {m * 0.5 * (hi - lo):.4g} is beyond the kernels' domain (< 700)")
+    c = 0.5 * (lo + hi) if lo <= hi else 0.0
+    return rz, w, [(_trig(rz * (t + L), m * (L + c)), _trig(rz * (t - L), m * (L - c)))
+                   for t in points]
 
 
 def green_kernel(z, x, y, L: float):
-    """Dirichlet Green function sin(sqrt(z)(min+L)) sin(sqrt(z)(max-L)) / W(z)
-    with W(z) = sqrt(z) sin(2 L sqrt(z)); symmetric in (x, y)."""
-    rz = complex(_sqrt_energy(z))
-    _check_off_spectrum(rz, L)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    num = _scaled_sin(rz * (lo + L)) * _scaled_sin(rz * (hi - L))
-    den = rz * _scaled_sin(2.0 * L * rz)
-    # net exponent -|Im rz| |x - y| <= 0, restored after the scaled division
-    expo = abs(np.imag(rz)) * ((lo + L) + (L - hi) - 2.0 * L)
-    out = num / den * np.exp(expo)
+    """Dirichlet Green function u(min(x, y)) v(max(x, y)) / W(z) with
+    u(t) = sin(sqrt(z)(t + L)), v(t) = sin(sqrt(z)(t - L)) and
+    W(z) = sqrt(z) sin(2 L sqrt(z)); symmetric.  u, v are scaled about the
+    points' midpoint and multiplied only once picked at min and max, so
+    x[:, None], y[None, :] cost O(n) transcendentals and nothing overflows.
+    Domain: |Im sqrt(z)| * span / 2 < 700, else ValueError."""
+    rz, w, [(ux, vx), (uy, vy)] = _factors(z, L, x, y)
+    first = np.asarray(x) <= np.asarray(y)
+    out = np.where(first, ux[0], uy[0]) * np.where(first, vy[0], vx[0]) / (rz * w)
     return out if out.ndim else complex(out)
 
 
 def commutator_kernel(z, x, y, L: float):
     """Kernel of the position-gradient commutator correction to the squared
-    resolvent; two-branch closed form, symmetric in (x, y)."""
-    rz = complex(_sqrt_energy(z))
-    _check_off_spectrum(rz, L)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    term = hi * _scaled_cos(rz * (hi - L)) * _scaled_sin(rz * (lo + L)) + lo * _scaled_sin(
-        rz * (hi - L)
-    ) * _scaled_cos(rz * (lo + L))
-    den = 2.0 * _scaled_sin(2.0 * L * rz)
-    expo = abs(np.imag(rz)) * ((lo + L) + (L - hi) - 2.0 * L)
-    out = term / den * np.exp(expo)
+    resolvent, [max v'(max) u(min) + min v(max) u'(min)] / (2 sin(2 L sqrt(z)))
+    with u, v the Green-function factors and u', v' their cosine partners:
+    rank-two semi-separable.  Cost and domain as ``green_kernel``."""
+    _, w, [(ux, vx), (uy, vy)] = _factors(z, L, x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    first = x <= y
+    us, uc = (np.where(first, a, b) for a, b in zip(ux, uy))
+    vs, vc = (np.where(first, b, a) for a, b in zip(vx, vy))
+    out = (np.maximum(x, y) * vc * us + np.minimum(x, y) * vs * uc) / (2.0 * w)
     return out if out.ndim else complex(out)
+
+
+def _delta_factors(rz: complex, L: float, t):
+    """sin(sqrt(z) t) / sin(sqrt(z) L) and cos(sqrt(z) t) / cos(sqrt(z) L),
+    both computed at the scale e^{-|Im sqrt(z)| L}, finite for |t| <= L."""
+    shift = abs(rz.imag) * L
+    sL, cL = _trig(L * rz, shift)
+    if shift < 1.0 and min(abs(sL), abs(cL)) < 1e-14:
+        raise NearSpectrumError("sin(L sqrt(z)) or cos(L sqrt(z)) vanishes")
+    s, c = _trig(rz * np.asarray(t, dtype=float), shift)
+    return s / sL, c / cL
 
 
 def delta_term_kernel(z, x, y, L: float):
     """Rank-two boundary kernel
     (L/4) [sin(sqrt(z) x) sin(sqrt(z) y) / sin^2(sqrt(z) L)
-           + cos(sqrt(z) x) cos(sqrt(z) y) / cos^2(sqrt(z) L)].
-    """
+           + cos(sqrt(z) x) cos(sqrt(z) y) / cos^2(sqrt(z) L)],
+    from one sine and one cosine factor per point; finite for |x|, |y| <= L."""
     rz = complex(_sqrt_energy(z))
-    im = abs(np.imag(L * rz))
-    sL = _scaled_sin(L * rz)
-    cL = _scaled_cos(L * rz)
-    if im < 1.0 and min(abs(sL), abs(cL)) < 1e-14:
-        raise NearSpectrumError("sin(L sqrt(z)) or cos(L sqrt(z)) vanishes")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    aim = abs(np.imag(rz))
-    expo = aim * (np.abs(x) + np.abs(y) - 2.0 * L)
-    p_s = _scaled_sin(rz * x) * _scaled_sin(rz * y)
-    p_c = _scaled_cos(rz * x) * _scaled_cos(rz * y)
-    out = 0.25 * L * (p_s / sL**2 + p_c / cL**2) * np.exp(expo)
+    (sx, cx), (sy, cy) = _delta_factors(rz, L, x), _delta_factors(rz, L, y)
+    out = 0.25 * L * (sx * sy + cx * cy)
     return out if out.ndim else complex(out)
+
+
+def _semiseparable_apply(a, b, Y):
+    """sum_j a(min(t_i, t_j)) b(max(t_i, t_j)) Y_j at sorted points t, from
+    a prefix sum over j <= i and a suffix sum over j > i."""
+    head = np.cumsum(a[:, None] * Y, axis=0)
+    tail = np.cumsum((b[:, None] * Y)[:0:-1], axis=0)[::-1]
+    return b[:, None] * head + a[:, None] * np.concatenate([tail, np.zeros_like(head[:1])])
+
+
+def squared_resolvent_apply(z, x, Y, L: float):
+    """sum_j R(z)^2(x_i, x_j) Y[j] at the points x, for Y of shape (n, r).
+    The kernel sum_j phi_j(x) phi_j(y) / (z - lambda_j)^2 = -dG/dz is
+    (D - C + G/2) / z (delta-term, commutator and Green kernels): rank-two
+    semi-separable plus rank-two separable, so the product takes prefix sums
+    over the sorted points, O(n r), and the kernel is never formed."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    t, Y = x[order], np.asarray(Y)[order]
+    rz, w, [((us, uc), (vs, vc))] = _factors(z, L, t)
+    # G/2 - C = [u(lo) (v(hi)/sqrt(z) - hi v'(hi)) - lo u'(lo) v(hi)] / (2 sin 2L sqrt(z))
+    out = (_semiseparable_apply(us, vs / rz - t * vc, Y) - _semiseparable_apply(t * uc, vs, Y)) / (2.0 * w)
+    ds, dc = _delta_factors(rz, L, t)
+    # einsum, not matmul: numpy's BLAS threads, woken between the contour
+    # route's scipy LU calls, made that route four times slower unpinned
+    out += 0.25 * L * (np.outer(ds, np.einsum("i,ij->j", ds, Y)) + np.outer(dc, np.einsum("i,ij->j", dc, Y)))
+    result = np.empty_like(out)
+    result[order] = out / complex(z)
+    return result
 
 
 def truncated_resolvent_direct(n: int, z, x, y, L: float):

@@ -38,6 +38,7 @@ __all__ = [
     "AmbiguousEnergyError",
     "prufer_phase",
     "perturbed_eigenvalue",
+    "perturbed_eigenvalues",
     "PerturbedEigenpair",
     "perturbed_eigenfunction",
     "eigenpairs",
@@ -232,6 +233,11 @@ def perturbed_eigenvalue(k: int, V: Potential, L: float, tol: float = 1e-10) -> 
     """k-th Dirichlet eigenvalue of -d^2/dx^2 + V as the root of
     theta(L, mu) = k pi, bracketed around the free eigenvalue."""
     return float(_eigenvalues(np.array([k]), V, L, tol)[0])
+
+
+def perturbed_eigenvalues(ks, V: Potential, L: float, tol: float = 1e-10) -> np.ndarray:
+    """Eigenvalues mu_k for every index k >= 1 in ks, in one batched solve."""
+    return _eigenvalues(np.atleast_1d(np.asarray(ks, dtype=int)), V, L, tol)
 
 
 @dataclass(frozen=True)

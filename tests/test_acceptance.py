@@ -1,9 +1,9 @@
 """Acceptance gate: every numbered check prints one PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
-logged margins.  The contour cross-validation (number 10) dominates the
-runtime at about 15 seconds; the sweep up to N = 800 (number 4) takes a few
-seconds, and everything else is seconds or less.
+logged margins.  The inequality audit (number 11), the contour
+cross-validation (number 10), the gamma triple (number 2) and the sweep up to
+N = 800 (number 4) take one to a few seconds each; everything else is less.
 """
 
 import math

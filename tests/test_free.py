@@ -11,15 +11,66 @@ from orthocat.free import (
     fermi_contour_point,
     fermi_energy,
     free_eigenfunction,
+    free_eigenfunction_matrix,
     free_eigenvalue,
     free_eigenvalues,
     green_kernel,
     kappa_n,
     kappa_tilde_n,
+    squared_resolvent_apply,
     tau,
     truncated_resolvent_decomposed,
     truncated_resolvent_direct,
 )
+
+from conftest import grid_for
+
+
+# Pointwise reference kernels: every entry evaluated from its own exponentials
+# at min(x, y) and max(x, y), independently of the factor form in the library.
+def _ref_scaled_sin(w):
+    wr, wi = np.real(w), np.imag(w)
+    m = np.abs(wi)
+    return (np.exp(1j * wr - (m + wi)) - np.exp(-1j * wr - (m - wi))) / 2j
+
+
+def _ref_scaled_cos(w):
+    wr, wi = np.real(w), np.imag(w)
+    m = np.abs(wi)
+    return (np.exp(1j * wr - (m + wi)) + np.exp(-1j * wr - (m - wi))) / 2.0
+
+
+def _ref_green(z, x, y, L):
+    rz = complex(np.sqrt(complex(z)))
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    num = _ref_scaled_sin(rz * (lo + L)) * _ref_scaled_sin(rz * (hi - L))
+    den = rz * _ref_scaled_sin(2.0 * L * rz)
+    expo = abs(rz.imag) * ((lo + L) + (L - hi) - 2.0 * L)
+    return num / den * np.exp(expo)
+
+
+def _ref_commutator(z, x, y, L):
+    rz = complex(np.sqrt(complex(z)))
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    term = (hi * _ref_scaled_cos(rz * (hi - L)) * _ref_scaled_sin(rz * (lo + L))
+            + lo * _ref_scaled_sin(rz * (hi - L)) * _ref_scaled_cos(rz * (lo + L)))
+    expo = abs(rz.imag) * ((lo + L) + (L - hi) - 2.0 * L)
+    return term / (2.0 * _ref_scaled_sin(2.0 * L * rz)) * np.exp(expo)
+
+
+def _ref_delta(z, x, y, L):
+    rz = complex(np.sqrt(complex(z)))
+    sL, cL = _ref_scaled_sin(L * rz), _ref_scaled_cos(L * rz)
+    expo = abs(rz.imag) * (np.abs(x) + np.abs(y) - 2.0 * L)
+    p_s = _ref_scaled_sin(rz * x) * _ref_scaled_sin(rz * y)
+    p_c = _ref_scaled_cos(rz * x) * _ref_scaled_cos(rz * y)
+    return 0.25 * L * (p_s / sL**2 + p_c / cL**2) * np.exp(expo)
+
+
+def _squared_resolvent_kernel(z, x, y, L):
+    """(D - C + G/2) / z from the three library kernels."""
+    return (delta_term_kernel(z, x, y, L) - commutator_kernel(z, x, y, L)
+            + 0.5 * green_kernel(z, x, y, L)) / z
 
 
 class TestFreeSpectrum:
@@ -169,6 +220,99 @@ class TestDeltaTermKernel:
             f = lambda x: delta_term_kernel(z, x, y0, L)
             resid = z * f(x0) + (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
             assert abs(resid) < 1e-6 * abs(f(x0))
+
+
+class TestKernelsFromFactors:
+    KERNELS = [(green_kernel, _ref_green), (commutator_kernel, _ref_commutator),
+               (delta_term_kernel, _ref_delta)]
+
+    @pytest.mark.parametrize("L", [1.0, 5.25, 40.0])
+    def test_match_pointwise_reference(self, L):
+        # 301 nodes across the box, or across [-5.25, 5.25] in the long box
+        h = min(L, 5.25)
+        x = np.linspace(-h, h, 301)
+        for N in (3, 10, 50):
+            nu = fermi_energy(N, L)
+            for s in (0.0, 0.5, 5.0, 30.0):
+                z = fermi_contour_point(nu, s).z
+                for kernel, ref in self.KERNELS:
+                    got = kernel(z, x[:, None], x[None, :], L)
+                    want = ref(z, x[:, None], x[None, :], L)
+                    assert got.shape == (301, 301)
+                    err = np.abs(got - want).max()
+                    assert err <= 1e-12 * np.abs(want).max(), (kernel.__name__, N, s, err)
+
+    def test_finite_to_far_end_of_contour(self):
+        # support of half-width 1.5, s out to the contour's far end 128 and
+        # on to 400, where |Im sqrt(z)| * span / 2 = 600 is near the domain
+        # limit: factors picked the wrong way round, at max(x, y) for the left
+        # one, would reach e^{400 * 3} and overflow
+        L = 5.25
+        x = grid_for(L, a=1.5).nodes
+        x = x[np.abs(x) <= 1.5]
+        rng = np.random.default_rng(4)
+        Y = rng.normal(size=(x.size, 3)) + 1j * rng.normal(size=(x.size, 3))
+        nu = fermi_energy(10, L)
+        with np.errstate(over="raise", invalid="raise"):
+            for s in (64.0, 128.0, 400.0):
+                z = fermi_contour_point(nu, s).z
+                for kernel, _ in self.KERNELS:
+                    assert np.all(np.isfinite(kernel(z, x[:, None], x[None, :], L)))
+                assert np.all(np.isfinite(squared_resolvent_apply(z, x, Y, L)))
+
+    def test_domain_limit_raises(self):
+        # |Im sqrt(z)| * span / 2 = 400 * 2 = 800 >= 700
+        L = 5.25
+        z = fermi_contour_point(fermi_energy(10, L), 400.0).z
+        x = np.linspace(-2.0, 2.0, 11)
+        for kernel in (green_kernel, commutator_kernel):
+            with pytest.raises(ValueError, match="domain"):
+                kernel(z, x[:, None], x[None, :], L)
+        with pytest.raises(ValueError, match="domain"):
+            squared_resolvent_apply(z, x, np.ones(11), L)
+        # inside the domain at the same s
+        assert np.isfinite(green_kernel(z, 0.3, -0.3, L))
+
+    def test_scalar_and_elementwise_inputs(self):
+        z, L = 2.0 + 1.5j, 1.3
+        x = np.array([-0.9, 0.1, 0.7])
+        y = np.array([0.4, 0.1, -1.2])
+        for kernel, ref in self.KERNELS:
+            assert kernel(z, x, y, L) == pytest.approx(ref(z, x, y, L), rel=1e-13)
+            assert isinstance(kernel(z, 0.2, -0.5, L), complex)
+
+
+class TestSquaredResolvent:
+    @pytest.mark.parametrize("s", [0.0, 1.0, 5.0])
+    def test_closed_form_against_mode_sum(self, s):
+        # sum_j phi_j(x) phi_j(y) / (z - lambda_j)^2 over 20,000 modes; with
+        # c = (pi / 2L)^2 and |phi_j|^2 <= 1/L, the rest is at most
+        # sum_{j > J} 1 / (L (lambda_j - |z|)^2)
+        #   <= 1 / (3 L c^2 J^3 (1 - |z| / lambda_{J+1})^2)
+        L, J = 5.25, 20_000
+        z = fermi_contour_point(fermi_energy(10, L), s).z
+        x = np.linspace(-1.0, 1.0, 41)
+        lam = free_eigenvalues(L, J)
+        phi = free_eigenfunction_matrix(J, L, x)
+        modes = (phi.T / (z - lam) ** 2) @ phi
+        c = (math.pi / (2.0 * L)) ** 2
+        lam_next = c * (J + 1) ** 2
+        tail = 1.0 / (3.0 * L * c * c * J**3 * (1.0 - abs(z) / lam_next) ** 2)
+        closed = _squared_resolvent_kernel(z, x[:, None], x[None, :], L)
+        assert np.abs(closed - modes).max() <= tail + 1e-12 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("s", [0.0, 1.0, 5.0, 64.0])
+    def test_prefix_sum_apply_matches_dense_product(self, s):
+        L = 5.25
+        x = grid_for(L).nodes
+        x = x[np.abs(x) <= 1.0]
+        rng = np.random.default_rng(int(s) + 1)
+        x = rng.permutation(x)  # the apply sorts its points itself
+        Y = rng.normal(size=(x.size, 7)) + 1j * rng.normal(size=(x.size, 7))
+        z = fermi_contour_point(fermi_energy(10, L), s).z
+        dense = _squared_resolvent_kernel(z, x[:, None], x[None, :], L) @ Y
+        got = squared_resolvent_apply(z, x, Y, L)
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 class TestTruncatedResolvent:

@@ -286,6 +286,19 @@ class TestContourAnderson:
         ci = contour_anderson(N, well_weak, L, grid)
         assert abs(ci - res.anderson_integral) <= 1e-3
 
+    @pytest.mark.parametrize("v0", [0.1, -0.3])
+    @pytest.mark.parametrize("N", [10, 40])
+    def test_matches_direct_route_relative(self, v0, N):
+        # the contour runs out to s = 128, where the algebraic tail is 2e-8
+        # of I; at 8 nodes per wavelength the two routes differ by under 1e-5
+        V = square_well(v0, 1.0)
+        L = (N + 0.5) / 2.0
+        grid = grid_for(L, nu=fermi_energy(N, L), npw=8)
+        res = anderson_result(N, V, L, grid)
+        assert res.m == N
+        ci = contour_anderson(N, V, L, grid)
+        assert abs(ci / res.anderson_integral - 1.0) <= 1e-4
+
     def test_integrand_envelope_decay(self, well_weak):
         # the envelope exp(-2 L s) V_L(2s) / sqrt(nu + s^2) controls the
         # delta-term part; check the full integrand at least decays with s

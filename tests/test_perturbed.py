@@ -16,6 +16,7 @@ from orthocat.perturbed import (
     eigenpairs,
     perturbed_eigenfunction,
     perturbed_eigenvalue,
+    perturbed_eigenvalues,
     prufer_phase,
 )
 
@@ -146,6 +147,19 @@ class TestBatchConsistency:
     def test_index_zero_rejected(self, well_attractive):
         with pytest.raises(ValueError):
             perturbed_eigenvalue(0, well_attractive, 5.25)
+
+    @pytest.mark.parametrize("name", ["well_attractive", "table_mixed", "gauss_bump"])
+    def test_public_batch_matches_single_calls(self, name, request):
+        V = request.getfixturevalue(name)
+        L = 5.25
+        mus = perturbed_eigenvalues(np.arange(1, 11), V, L)
+        assert mus.shape == (10,)
+        for k, mu in enumerate(mus, start=1):
+            single = perturbed_eigenvalue(k, V, L)
+            assert abs(mu - single) <= 1e-12 * max(1.0, abs(single)), (k, mu, single)
+        assert perturbed_eigenvalues(3, V, L) == pytest.approx([mus[2]], rel=1e-14)
+        with pytest.raises(ValueError):
+            perturbed_eigenvalues([0, 1], V, L)
 
 
 class TestPerturbedEigenvalue:

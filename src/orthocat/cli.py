@@ -11,11 +11,12 @@ Exit codes: 0 success, 1 computation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
-from .core import ConfigurationError, fermi_grid, potential_norms
+from .core import ConfigurationError, SystemConfig, fermi_grid, potential_norms
 from .free import fermi_energy, free_eigenvalues
 from .metrics import anderson_result, det_bounds
 from .operators import bounds_audit, contour_anderson, gamma_matrix, smallness_report
@@ -46,10 +47,7 @@ def _potential_spec(args) -> dict:
 
 def _cmd_spectrum(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
-    if args.L is not None:
-        L = args.L
-    else:
-        L = (args.N + 0.5) / (2.0 * args.rho)
+    L = args.L if args.L is not None else SystemConfig(args.rho, args.N).L
     count = args.count or args.N or 10
     lams = free_eigenvalues(L, count)
     print(f"# spectrum  L={L!r}  count={count}")
@@ -95,7 +93,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_anderson(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
-    L = (args.N + 0.5) / (2.0 * args.rho)
+    L = SystemConfig(args.rho, args.N).L
     nu = fermi_energy(args.N, L)
     grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
     res = anderson_result(args.N, V, L, grid)
@@ -113,30 +111,14 @@ def _cmd_anderson(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = sweep_mod.load_config(args.config)
-    overrides = {}
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.n_list is not None:
-        overrides["n_list"] = tuple(int(t) for t in args.n_list.split(","))
-    if args.csv is not None:
-        overrides["csv"] = args.csv
-    if args.json is not None:
-        overrides["json"] = args.json
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
+# SweepConfig fields that a `sweep` flag of the same dest overrides.
+_SWEEP_OVERRIDES = ("rho", "n_list", "csv_path", "json_path", "workers")
 
-        cfg = replace(
-            cfg,
-            rho=overrides.get("rho", cfg.rho),
-            n_list=overrides.get("n_list", cfg.n_list),
-            csv_path=overrides.get("csv", cfg.csv_path),
-            json_path=overrides.get("json", cfg.json_path),
-            workers=overrides.get("workers", cfg.workers),
-        )
+
+def _cmd_sweep(args) -> int:
+    overrides = {field: getattr(args, field) for field in _SWEEP_OVERRIDES
+                 if getattr(args, field) is not None}
+    cfg = dataclasses.replace(sweep_mod.load_config(args.config), **overrides)
     result = sweep_mod.run_sweep(cfg)
     if cfg.csv_path:
         sweep_mod.write_csv(result, cfg.csv_path)
@@ -153,7 +135,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audit(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
-    L = (args.N + 0.5) / (2.0 * args.rho)
+    L = SystemConfig(args.rho, args.N).L
     nu = fermi_energy(args.N, L)
     grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
     items = bounds_audit(V, args.N, L, grid)
@@ -207,9 +189,9 @@ def cli_main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="config-driven thermodynamic sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--rho", type=float)
-    p_sweep.add_argument("--n-list", type=str)
-    p_sweep.add_argument("--csv", type=str)
-    p_sweep.add_argument("--json", type=str)
+    p_sweep.add_argument("--n-list", dest="n_list", type=sweep_mod._ints)
+    p_sweep.add_argument("--csv", dest="csv_path", type=str)
+    p_sweep.add_argument("--json", dest="json_path", type=str)
     p_sweep.add_argument("--workers", type=int)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -163,14 +163,15 @@ class Grid:
         return np.dot(self.weights, values)
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(n: int):
-    return np.polynomial.legendre.leggauss(n)
+# Gauss-Legendre order of every quadrature panel in the package, and its rule
+# on [-1, 1].
+NODES_PER_PANEL = 12
+_GAUSS_RULE = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
-def _panelize(breaks, widths, nodes_per_panel):
+def _panelize(breaks, widths):
     """Fill each region between consecutive breakpoints with Gauss panels."""
-    t, wt = _gauss_rule(nodes_per_panel)
+    t, wt = _GAUSS_RULE
     nodes, weights, bounds = [], [], [breaks[0]]
     for lo, hi, width in zip(breaks[:-1], breaks[1:], widths):
         n_panels = max(1, int(math.ceil((hi - lo) / width - 1e-12)))
@@ -187,22 +188,17 @@ def _panelize(breaks, widths, nodes_per_panel):
     )
 
 
-def build_grid(
-    L: float,
-    wavenumber_hint: float,
-    support=None,
-    nodes_per_wavelength: int = 16,
-    nodes_per_panel: int = 12,
-) -> Grid:
+def build_grid(L: float, wavenumber_hint: float, support,
+               nodes_per_wavelength: int = 16) -> Grid:
     """Composite Gauss-Legendre grid on [-L, L] resolving oscillations at the
-    given wavenumber.
+    given wavenumber, with panel breaks at the ends of ``support = (lo, hi)``.
 
     Panel boundaries always include the support endpoints and the origin.  On
     the support the panel width is half of one nodes_per_wavelength-th of the
     hint wavelength: kernels restricted there carry |x-y| kinks and potential
     jumps, and the extra subdivision keeps Nystrom norms stable to 1e-6 under
     density doubling.  Outside, where every integrand is smooth trigonometry,
-    panels are nodes_per_panel times the base width, which still places
+    panels are NODES_PER_PANEL times the base width, which still places
     nodes_per_wavelength quadrature nodes on each oscillation.
     """
     if L <= 0:
@@ -211,8 +207,6 @@ def build_grid(
         raise ConfigurationError("wavenumber hint must be positive")
     if nodes_per_wavelength < 8:
         raise ConfigurationError("need at least 8 nodes per wavelength")
-    if support is None:
-        support = (-L, L)
     lo, hi = float(support[0]), float(support[1])
     if lo < -L - 1e-12 or hi > L + 1e-12 or lo >= hi:
         raise ConfigurationError(f"support [{lo}, {hi}] not inside [-{L}, {L}]")
@@ -220,7 +214,7 @@ def build_grid(
 
     wavelength = 2.0 * math.pi / wavenumber_hint
     fine = 0.5 * wavelength / nodes_per_wavelength
-    coarse = nodes_per_panel * wavelength / nodes_per_wavelength
+    coarse = NODES_PER_PANEL * wavelength / nodes_per_wavelength
 
     breaks = np.array(sorted({-L, lo, 0.0, hi, L}))
     breaks = breaks[np.r_[True, np.diff(breaks) > 1e-12 * max(1.0, L)]]
@@ -228,26 +222,25 @@ def build_grid(
         fine if (b0 >= lo - 1e-12 and b1 <= hi + 1e-12) else coarse
         for b0, b1 in zip(breaks[:-1], breaks[1:])
     ]
-    nodes, weights, bounds = _panelize(breaks, widths, nodes_per_panel)
+    nodes, weights, bounds = _panelize(breaks, widths)
     return Grid(nodes, weights, bounds)
 
 
-def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16,
-               nodes_per_panel: int = 12) -> Grid:
+def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16) -> Grid:
     """Grid on [-L, L] resolving the Fermi wavenumber sqrt(nu), with panel
     breaks at the support of V.  With L = V.a it covers the support alone,
     which is all the operator routes read."""
     return build_grid(L, math.sqrt(nu), support=(-V.a, V.a),
-                      nodes_per_wavelength=nodes_per_wavelength,
-                      nodes_per_panel=nodes_per_panel)
+                      nodes_per_wavelength=nodes_per_wavelength)
 
 
-def support_quadrature(V: Potential, nodes_per_panel: int = 12, panels: int = 16) -> Grid:
-    """Quadrature covering exactly the support of V, with panel boundaries at
-    the table breakpoints so piecewise-smooth families integrate cleanly."""
+def support_quadrature(V: Potential) -> Grid:
+    """Quadrature covering exactly the support of V in panels of at most a
+    sixteenth of its width, with panel boundaries at the table breakpoints so
+    piecewise-smooth families integrate cleanly."""
     breaks = np.unique(np.concatenate([[-V.a, 0.0, V.a], V.knots]))
-    width = 2.0 * V.a / panels
-    nodes, weights, bounds = _panelize(breaks, [width] * (len(breaks) - 1), nodes_per_panel)
+    width = 2.0 * V.a / 16
+    nodes, weights, bounds = _panelize(breaks, [width] * (len(breaks) - 1))
     return Grid(nodes, weights, bounds)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import _gauss_rule
+from .core import _GAUSS_RULE
 
 __all__ = [
     "NearSpectrumError",
@@ -304,14 +304,14 @@ def _cosine_ratio(u, M: float, sin_Mpi: float):
     return np.where(small, sin_Mpi * 2.0 * M, out)
 
 
-def _oscillatory_panel_integral(f, A: float, max_freq: float, nodes_per_panel: int = 12):
+def _oscillatory_panel_integral(f, A: float, max_freq: float):
     """Oriented integral of f over [0, A] on panels short enough that the
     fastest oscillation covers at most half a period per panel."""
     if A == 0.0:
         return 0.0
     width = math.pi / (2.0 * max(max_freq, 1.0))
     n_panels = max(1, int(math.ceil(abs(A) / width)))
-    t, wt = _gauss_rule(nodes_per_panel)
+    t, wt = _GAUSS_RULE
     edges = np.linspace(0.0, A, n_panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -11,7 +11,8 @@ __all__ = ["SolverFailure", "adaptive_ivp"]
 
 class SolverFailure(RuntimeError):
     """A solver failed: the adaptive integrator could not meet its tolerance,
-    or an eigenvalue could not be bracketed or did not converge."""
+    a scattering result failed its unitarity check, or an eigenvalue could
+    not be bracketed or did not converge."""
 
 
 def adaptive_ivp(rhs, x0, x1, y0, *, rtol=1e-10, atol=1e-12, t_eval=None):

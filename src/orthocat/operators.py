@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .core import Grid, Potential, potential_norms
+from .core import _GAUSS_RULE, Grid, Potential, potential_norms
 from .free import (
     fermi_contour_point,
     fermi_energy,
@@ -28,7 +28,6 @@ from .free import (
     squared_resolvent_apply,
 )
 from . import metrics as _metrics
-from .core import _gauss_rule
 
 __all__ = [
     "NystromOperator",
@@ -215,30 +214,23 @@ def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
     return max(g, 0.0)
 
 
-def contour_anderson(
-    N: int,
-    V: Potential,
-    L: float,
-    grid: Grid,
-    s_cut: float | None = None,
-    nodes_per_panel: int = 12,
-) -> float:
+def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     """Anderson integral through its contour representation,
     (1/2 pi i) * integral over the Fermi parabola of tr[P_N R T R^2 T] dz.
 
     Each contour node factors 1 - sqrt|V| R sqrt|V| J once for both solves
     and applies R^2 = -dR/dz = (D - C + G/2) / z in closed form
-    (``squared_resolvent_apply``); the truncated mode sum and its ``tol`` are
-    gone.  The s >= 0 half suffices by conjugation symmetry.  Gauss panels of
-    width <= min(1/2, 1/max(L - a, L/2)) cover s <= 1, where the box sets the
-    oscillation; panels doubling in width continue to s_cut.  The integrand
+    (``squared_resolvent_apply``).  The s >= 0 half suffices by conjugation
+    symmetry.  Gauss panels (``core.NODES_PER_PANEL`` nodes each) of width
+    <= min(1/2, 1/max(L - a, L/2)) cover s <= 1, where the box sets the
+    oscillation; panels doubling in width continue to the cut.  The integrand
     decays like s^-6: the part beyond s = 128 measured 1-2e-8 of I (wells, a
-    table, a Gaussian; N = 10, 40), 30 times less per doubling.  s_cut is 128,
-    or 690 / a past a = 5.4, where the kernels' domain ends.
+    table, a Gaussian; N = 10, 40), 30 times less per doubling.  The cut is
+    s = 128, or 690 / a past a = 5.4, where the kernels' domain ends.
     """
     nu = fermi_energy(N, L)
     root = math.sqrt(nu)
-    s_cut = min(128.0, 690.0 / V.a) if s_cut is None else s_cut
+    s_cut = min(128.0, 690.0 / V.a)
 
     x, w = _support(V, grid)
     sq = np.sqrt(np.abs(V(x)))
@@ -250,7 +242,7 @@ def contour_anderson(
     edges = list(np.linspace(0.0, s_uniform, math.ceil(s_uniform / width) + 1))
     while edges[-1] < s_cut:
         edges.append(min(2.0 * edges[-1], s_cut))
-    t_ref, w_ref = _gauss_rule(nodes_per_panel)
+    t_ref, w_ref = _GAUSS_RULE
 
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

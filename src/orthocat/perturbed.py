@@ -59,6 +59,8 @@ _STEP_PHASE = 1.0
 _STEP_SCALE = 3.0
 # Step-by-energy entries of the step exponentials held at once.
 _BLOCK = 1 << 12
+# count_below refuses E when theta(L, E) is this close to a multiple of pi.
+_PHASE_TOL = 1e-8
 
 
 class AmbiguousEnergyError(ValueError):
@@ -346,11 +348,11 @@ def eigenpairs(n: int, V: Potential, L: float, grid: Grid, tol: float = 1e-10):
     return mus, psi
 
 
-def count_below(E: float, V: Potential, L: float, phase_tol: float = 1e-8) -> int:
+def count_below(E: float, V: Potential, L: float) -> int:
     """Number of eigenvalues below E, read off as floor(theta(L, E)/pi)."""
     theta = prufer_phase(E, V, L)
     q = theta / math.pi
-    if abs(q - round(q)) * math.pi < phase_tol:
+    if abs(q - round(q)) * math.pi < _PHASE_TOL:
         raise AmbiguousEnergyError(f"E = {E} is within tolerance of an eigenvalue")
     return int(math.floor(q))
 

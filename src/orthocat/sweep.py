@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NODES_PER_PANEL,
     ConfigurationError,
     Potential,
+    SystemConfig,
     fermi_grid,
     gaussian_truncated,
     square_well,
@@ -50,6 +52,12 @@ CSV_HEADER = "N,L,I,lnD,defect_norm,M,status"
 
 _WORKERS_ENV = "ORTHOCAT_WORKERS"
 
+# The keys a config file may set, by section.
+CONFIG_KEYS = {"potential": ("family", "v0", "a", "sigma", "abscissae", "values"),
+               "sweep": ("rho", "n_list", "fit_fraction", "workers"),
+               "grid": ("nodes_per_wavelength",), "tolerances": ("eigen_tol",),
+               "output": ("csv", "json")}
+
 # Failures that mark one row as failed: a box smaller than the support, or a
 # numerical failure.  Any other exception is a fault in the program and
 # propagates.
@@ -63,7 +71,6 @@ class SweepConfig:
     rho: float
     n_list: tuple
     nodes_per_wavelength: int = 16
-    nodes_per_panel: int = 12
     eigen_tol: float = 1e-10
     fit_fraction: float = 0.5
     workers: int = 1
@@ -73,8 +80,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.rho <= 0:
             raise ConfigurationError("rho must be positive")
-        if len(self.n_list) == 0 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ConfigurationError("N list must be non-empty and strictly increasing")
+        if (len(self.n_list) == 0 or self.n_list[0] < 1
+                or any(b <= a for a, b in zip(self.n_list, self.n_list[1:]))):
+            raise ConfigurationError("N list must be non-empty, positive and strictly increasing")
         if not 0.0 < self.eigen_tol < 1.0:
             raise ConfigurationError("tolerances must lie in (0, 1)")
         if not 0.0 < self.fit_fraction <= 1.0:
@@ -89,6 +97,10 @@ class SweepConfig:
 
 def _floats(text) -> list:
     return [float(t) for t in str(text).split(",")]
+
+
+def _ints(text) -> tuple:
+    return tuple(int(t) for t in str(text).split(","))
 
 
 # Potential families by their config and command-line names.
@@ -113,29 +125,29 @@ def potential_from_spec(spec: dict) -> Potential:
 
 def load_config(path: str) -> SweepConfig:
     """Parse a sectioned key-value config file ([potential], [sweep], [grid],
-    [tolerances], [output])."""
+    [tolerances], [output]); a section or key outside CONFIG_KEYS is an
+    error."""
     import configparser
 
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    if not parser.read(path):
         raise ConfigurationError(f"config file not found: {path}")
     if "potential" not in parser or "sweep" not in parser:
         raise ConfigurationError("config needs [potential] and [sweep] sections")
+    unknown = [f"[{name}]" for name in parser.sections() if name not in CONFIG_KEYS]
+    unknown += [f"[{name}] {key}" for name, keys in CONFIG_KEYS.items() if name in parser
+                for key in parser[name] if key not in keys]
+    if unknown:
+        raise ConfigurationError(f"unknown config entries in {path}: {', '.join(unknown)}")
 
-    pot = dict(parser["potential"])
-    sweep = parser["sweep"]
-    grid = parser["grid"] if "grid" in parser else {}
-    tols = parser["tolerances"] if "tolerances" in parser else {}
-    out = parser["output"] if "output" in parser else {}
+    pot, sweep, grid, tols, out = (dict(parser[name]) if name in parser else {}
+                                   for name in CONFIG_KEYS)
     try:
-        n_list = tuple(int(t) for t in sweep["n_list"].split(","))
         cfg = SweepConfig(
             potential=pot,
             rho=float(sweep["rho"]),
-            n_list=n_list,
+            n_list=_ints(sweep["n_list"]),
             nodes_per_wavelength=int(grid.get("nodes_per_wavelength", 16)),
-            nodes_per_panel=int(grid.get("nodes_per_panel", 12)),
             eigen_tol=float(tols.get("eigen_tol", 1e-10)),
             fit_fraction=float(sweep.get("fit_fraction", 0.5)),
             workers=int(sweep.get("workers", 1)),
@@ -155,7 +167,7 @@ def config_digest(config: SweepConfig) -> str:
         "rho": config.rho,
         "n_list": list(config.n_list),
         "nodes_per_wavelength": config.nodes_per_wavelength,
-        "nodes_per_panel": config.nodes_per_panel,
+        "nodes_per_panel": NODES_PER_PANEL,
         "eigen_tol": config.eigen_tol,
         "fit_fraction": config.fit_fraction,
     }
@@ -192,8 +204,8 @@ class SweepResult:
 
 def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
-    L = (n + 0.5) / (2.0 * config.rho)
-    grid = fermi_grid(V, L, config.nu, config.nodes_per_wavelength, config.nodes_per_panel)
+    L = SystemConfig(config.rho, n).L
+    grid = fermi_grid(V, L, config.nu, config.nodes_per_wavelength)
     res: AndersonResult = anderson_result(n, V, L, grid, tol=config.eigen_tol)
     return SweepRow(
         n, L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok"
@@ -204,8 +216,7 @@ def _safe_row(config: SweepConfig, n: int) -> SweepRow:
     try:
         return _run_row(config, n)
     except _ROW_FAILURES:
-        L = (n + 0.5) / (2.0 * config.rho)
-        return SweepRow(n, L, math.nan, math.nan, math.nan, -1, "failed")
+        return SweepRow(n, SystemConfig(config.rho, n).L, math.nan, math.nan, math.nan, -1, "failed")
 
 
 def _worker_count(config: SweepConfig) -> int:
@@ -243,9 +254,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     g_scatter = gamma_scattering(V, nu)
     g_gkm = gamma_gkm(V, nu)
 
-    npw, npp = config.nodes_per_wavelength, config.nodes_per_panel
-    g_matrix = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, npw, npp))
-    g_matrix_fine = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, 2 * npw, npp))
+    npw = config.nodes_per_wavelength
+    g_matrix = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, npw))
+    g_matrix_fine = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, 2 * npw))
     residuals = tuple(r.anderson - g_scatter * math.log(r.n) for r in good)
 
     return SweepResult(
@@ -260,7 +271,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         digest=config_digest(config),
         grid_params={
             "nodes_per_wavelength": config.nodes_per_wavelength,
-            "nodes_per_panel": config.nodes_per_panel,
+            "nodes_per_panel": NODES_PER_PANEL,
         },
         residuals=residuals,
         fit_window=tuple(r.n for r in window),

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from orthocat.cli import cli_main
 from orthocat.core import scale_potential, square_well
+from orthocat import scattering
+from orthocat.odes import SolverFailure
 from orthocat.scattering import (
     gamma_gkm,
     gamma_scattering,
@@ -63,6 +66,31 @@ class TestScatteringCoefficients:
     def test_invalid_wavenumber(self, well_attractive):
         with pytest.raises(ValueError):
             scattering_coefficients(well_attractive, 0.0)
+
+    @pytest.mark.parametrize("v0", [200.0, 500.0, 2000.0])
+    def test_lost_barrier_solution_raises(self, v0):
+        # the exact |t| is 9e-13, 3e-20 and 5e-40; the integration returns
+        # 6e-5, 1.3e3 and 4e22
+        with pytest.raises(SolverFailure, match="unitarity defect"):
+            scattering_coefficients(square_well(v0, 1.0), math.pi)
+
+    def test_non_finite_transfer_matrix_raises(self, monkeypatch):
+        monkeypatch.setattr(scattering, "_transfer_matrix",
+                            lambda V, k: np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(SolverFailure, match="not finite"):
+            scattering_coefficients(square_well(1.0, 1.0), math.pi)
+
+    def test_barrier_within_defect_bound_returns(self):
+        V = square_well(50.0, 1.0)
+        sd = scattering_coefficients(V, math.pi)
+        assert sd.unitarity_defect <= 1e-8
+        assert abs(sd.t - closed_form_transmission(50.0, 1.0, math.pi)) <= 1e-10
+
+    def test_gamma_failure_exits_1(self, capsys):
+        code = cli_main(["gamma", "--potential", "square_well", "--v0", "500", "--a", "1",
+                         "--nu", str(NU)])
+        assert "unitarity defect" in capsys.readouterr().err
+        assert code == 1
 
 
 class TestGammaRoutes:

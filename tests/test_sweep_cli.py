@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +259,73 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == 2  # missing v0 and a is a configuration error
+
+
+CONFIG_HEAD = ("[potential]\nfamily = square_well\nv0 = -0.5\na = 1.0\n\n"
+               "[sweep]\nrho = 1.0\nn_list = 5,8,12\n")
+
+
+class TestSettings:
+    @pytest.mark.parametrize("extra, named", [
+        ("\n[tolerances]\neigen_tl = 1e-12\n", "[tolerances] eigen_tl"),
+        ("\n[grid]\nnodes_per_panel = 12\n", "[grid] nodes_per_panel"),
+        ("\n[solver]\ntol = 1e-12\n", "[solver]"),
+        ("fit_fracton = 0.5\n", "[sweep] fit_fracton"),
+    ])
+    def test_unknown_config_entries_rejected(self, tmp_path, capsys, extra, named):
+        path = tmp_path / "s.toml"
+        path.write_text(CONFIG_HEAD + extra)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            load_config(str(path))
+        assert cli_main(["sweep", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        path = tmp_path / "s.toml"
+        path.write_text(
+            CONFIG_HEAD + "fit_fraction = 0.5\nworkers = 1\n\n"
+            "[grid]\nnodes_per_wavelength = 16\n\n[tolerances]\neigen_tol = 1e-10\n\n"
+            f"[output]\ncsv = {tmp_path}/o.csv\njson = {tmp_path}/o.json\n")
+        assert load_config(str(path)).json_path.endswith("o.json")
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        cfg = load_config(str(path))
+        assert cfg.n_list == (50, 100, 200, 400, 800)
+        assert cfg.fit_fraction == 0.5
+        assert potential_from_spec(cfg.potential).vmin == -0.5
+
+    def test_non_positive_n_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(0, 5, 8))
+
+    @pytest.mark.parametrize("command", [
+        ["anderson", "--N", "5"], ["audit", "--N", "5"], ["spectrum", "--N", "5"]])
+    @pytest.mark.parametrize("rho", ["0", "-1"])
+    def test_non_positive_rho_exits_2(self, capsys, command, rho):
+        code = cli_main(command + ["--rho", rho, "--potential", "square_well",
+                                   "--v0", "0.1", "--a", "1"])
+        assert "density must be positive" in capsys.readouterr().err
+        assert code == 2
+
+    def test_sweep_flags_override_config(self, tmp_path, capsys):
+        path = tmp_path / "s.toml"
+        path.write_text(CONFIG_HEAD + f"\n[output]\ncsv = {tmp_path}/file.csv\n")
+        code = cli_main(["sweep", "--config", str(path), "--n-list", "5,8,12,16",
+                         "--rho", "1", "--workers", "1",
+                         "--csv", str(tmp_path / "flag.csv"), "--json", str(tmp_path / "flag.json")])
+        capsys.readouterr()
+        assert code == 0
+        assert not (tmp_path / "file.csv").exists()
+        rows = (tmp_path / "flag.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [5, 8, 12, 16]
+        payload = json.loads((tmp_path / "flag.json").read_text())
+        assert payload["grid"] == {"nodes_per_wavelength": 16, "nodes_per_panel": 12}
+
+    def test_malformed_n_list_flag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.toml"
+        path.write_text(CONFIG_HEAD)
+        assert cli_main(["sweep", "--config", str(path), "--n-list", "5,x"]) == 2
+        capsys.readouterr()

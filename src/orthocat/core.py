@@ -61,9 +61,10 @@ class Potential:
     * ``gaussian_truncated``:   v0 exp(-x^2/2 sigma^2) cut off at |x| = a;
       amplitude = v0.
 
-    ``knots`` are the interior abscissae where V is not smooth.  V is
-    monotone between consecutive points of {-a, 0, a} and the knots, so the
-    extremes ``vmin`` and ``vmax`` over [-a, a] are fixed once, here.
+    ``knots`` are the interior abscissae where V is not smooth.  V is smooth
+    and monotone between consecutive ``breaks``, the sorted points of
+    {-a, 0, a} and the knots, so the extremes ``vmin`` and ``vmax`` over
+    [-a, a] are fixed once, here.
 
     Instances are immutable and safe to share between parallel workers.
     """
@@ -72,6 +73,7 @@ class Potential:
     profile: Callable
     amplitude: np.ndarray | float
     knots: np.ndarray
+    breaks: np.ndarray = field(init=False)
     vmin: float = field(init=False)
     vmax: float = field(init=False)
 
@@ -79,7 +81,10 @@ class Potential:
         if not (self.a > 0 and math.isfinite(self.a)):
             raise ConfigurationError("support half-width must be positive and finite")
         self.knots.flags.writeable = False
-        extremes = self(np.concatenate([[-self.a, 0.0, self.a], self.knots]))
+        breaks = np.unique(np.concatenate([[-self.a, 0.0, self.a], self.knots]))
+        breaks.flags.writeable = False
+        object.__setattr__(self, "breaks", breaks)
+        extremes = self(breaks)
         object.__setattr__(self, "vmin", float(np.min(extremes)))
         object.__setattr__(self, "vmax", float(np.max(extremes)))
 
@@ -236,11 +241,10 @@ def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16
 
 def support_quadrature(V: Potential) -> Grid:
     """Quadrature covering exactly the support of V in panels of at most a
-    sixteenth of its width, with panel boundaries at the table breakpoints so
+    sixteenth of its width, with panel boundaries at ``V.breaks`` so
     piecewise-smooth families integrate cleanly."""
-    breaks = np.unique(np.concatenate([[-V.a, 0.0, V.a], V.knots]))
     width = 2.0 * V.a / 16
-    nodes, weights, bounds = _panelize(breaks, [width] * (len(breaks) - 1))
+    nodes, weights, bounds = _panelize(V.breaks, [width] * (len(V.breaks) - 1))
     return Grid(nodes, weights, bounds)
 
 

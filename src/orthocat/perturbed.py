@@ -93,12 +93,11 @@ def _phase_free_advance(theta, mu, sigma, dx: float):
 def _mesh(V: Potential, a: float, emin: float, emax: float, tol: float, extra=None):
     """Step points from -a to a for energies in [emin, emax], plus ``extra``.
 
-    The breaks -a, 0, a and the knots of V split the support into pieces on
-    which V is smooth and monotone (see ``Potential``), so a piece whose ends
-    carry the same value is constant and its steps are exact.
+    The breaks of V inside (-a, a), with -a and a, split the support into
+    pieces on which V is smooth and monotone (see ``Potential``), so a piece
+    whose ends carry the same value is constant and its steps are exact.
     """
-    knots = V.knots[np.abs(V.knots) < a]
-    breaks = np.unique(np.concatenate([[-a, 0.0, a], knots]))
+    breaks = np.concatenate([[-a], V.breaks[np.abs(V.breaks) < a], [a]])
     flat = np.diff(V(breaks)) == 0.0
     spread = max(abs(V.vmax - emin), abs(V.vmin - emax))
     h_flat = _STEP_PHASE / math.sqrt(spread) if spread > 0.0 else math.inf

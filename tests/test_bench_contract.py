@@ -57,6 +57,22 @@ def test_traced_run_reports_every_declared_metric(bench):
     assert not extra, f"reported per-layer metrics not declared: {extra}"
 
 
+def test_traced_gamma_pass_counts_real_solves(bench, tmp_path):
+    # a transfer matrix that bypassed scattering.adaptive_ivp would report
+    # zero solves under metric names that are still present
+    wl = bench.workloads.Gamma(0, tmp_path)
+    tracer = bench.tracer.Tracer()
+    tracer.install()
+    try:
+        out = wl.run()
+    finally:
+        tracer.uninstall()
+    m = bench.layers.per_layer(tracer, 0, Counter(), [1.0], [1.0], "gamma", out)
+    assert m["scattering.calls"] == 24  # 12 cases, two scattering routes each
+    assert m["odes.solves"] > 0
+    assert m["odes.rhs_evals"] > 0
+
+
 def test_every_workload_passes_its_checks(bench, tmp_path):
     bench.workloads.warm_up()
     for name, workload in bench.workloads.WORKLOADS.items():

@@ -112,6 +112,12 @@ class TestPotentials:
         assert table_mixed(-0.5) == pytest.approx(0.3)
         assert table_mixed(0.25) == pytest.approx(0.05)
 
+    def test_breaks_are_support_ends_origin_and_knots(self, table_mixed, gauss_bump):
+        assert table_mixed.breaks.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert gauss_bump.breaks.tolist() == [-1.5, 0.0, 1.5]
+        with pytest.raises(ValueError):
+            table_mixed.breaks[0] = 0.0
+
     def test_support_quadrature_breaks_at_knots(self, table_mixed):
         grid = support_quadrature(table_mixed)
         for knot in (-0.5, 0.0, 0.5):

@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from orthocat.cli import cli_main
-from orthocat.core import scale_potential, square_well
+from orthocat.core import scale_potential, square_well, table_potential
 from orthocat import scattering
 from orthocat.odes import SolverFailure
 from orthocat.scattering import (
@@ -24,6 +26,75 @@ def closed_form_transmission(v0, a, k):
     return cmath.exp(-2j * k * a) / (
         cmath.cos(2 * kappa * a) - 0.5j * (kappa / k + k / kappa) * cmath.sin(2 * kappa * a)
     )
+
+
+def exact_transfer_matrix(xs, values, k):
+    """Transfer matrix of -u'' + V u = k^2 u from xs[0] to xs[-1], V the
+    linear interpolant of (xs, values), and the transmission coefficient for
+    the support [xs[0], xs[-1]] = [-a, a], both in mpmath at 40 digits.
+
+    On a sloped piece q = V - k^2 = c^2 z with z = c (x - x0) + q(x0) / c^2
+    and c^3 the slope, so Ai(z) and Bi(z) are a fundamental pair; on a flat
+    piece cos and sin of sqrt(-q) h, whose imaginary parts vanish.
+    """
+    with mpmath.workdps(40):
+        kk = mpmath.mpf(k)
+        M = mpmath.eye(2)
+        for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], values[:-1], values[1:]):
+            h = mpmath.mpf(x1) - mpmath.mpf(x0)
+            q0 = mpmath.mpf(v0) - kk**2
+            if v0 == v1:
+                w = mpmath.sqrt(-q0)
+                c, s = mpmath.cos(w * h), mpmath.sin(w * h)
+                step = mpmath.matrix([[c, s / w], [-w * s, c]]).apply(mpmath.re)
+            else:
+                slope = (mpmath.mpf(v1) - mpmath.mpf(v0)) / h
+                c = mpmath.sign(slope) * mpmath.cbrt(abs(slope))
+
+                def fundamental(z):
+                    return mpmath.matrix([[mpmath.airyai(z), mpmath.airybi(z)],
+                                          [c * mpmath.airyai(z, 1), c * mpmath.airybi(z, 1)]])
+
+                z0 = q0 / c**2
+                step = fundamental(z0 + c * h) * fundamental(z0) ** -1
+            M = step * M
+        # (1, r) e^{ikx} amplitudes on the left map to (t, 0) on the right
+        a = mpmath.mpf(xs[-1])
+        t = 2 * mpmath.exp(-2j * kk * a) / (M[0, 0] + M[1, 1] + 1j * (M[1, 0] / kk - kk * M[0, 1]))
+        return np.array(M.tolist(), dtype=float), complex(t)
+
+
+def table_case(case):
+    """conftest's table_mixed, or the benchmark's seeded table: 13 equally
+    spaced knots on [-1.5, 1.5] with zero ends and uniform interior values."""
+    if case == "mixed":
+        return [-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.3, -0.2, 0.3, 0.0]
+    values = np.zeros(13)
+    values[1:-1] = np.random.default_rng(case).uniform(-0.3, 0.3, 11)
+    return np.linspace(-1.5, 1.5, 13).tolist(), values.tolist()
+
+
+class TestExactOracle:
+    # DOP853 at 1e-12 per piece is off by at most 1.5e-11 on M and 2.4e-12
+    # on t over these cases (worst at nu = 4 pi^2); the gate leaves a sixfold
+    # margin and still rejects one RK45 solve across the whole support, off
+    # by 2.0e-10 and 4.1e-10
+    @pytest.mark.parametrize("nu", [NU / 4.0, NU, 4.0 * NU])
+    @pytest.mark.parametrize("case", ["mixed", 0, 1, 2])
+    def test_piecewise_linear_table(self, case, nu):
+        xs, values = table_case(case)
+        V = table_potential(xs, values)
+        k = math.sqrt(nu)
+        M_exact, t_exact = exact_transfer_matrix(xs, values, k)
+        M = scattering._transfer_matrix(V, k)
+        assert np.abs(M - M_exact).max() <= 1e-10 * np.abs(M_exact).max()
+        t = scattering_coefficients(V, k).t
+        assert abs(t - t_exact) <= 1e-10 * abs(t_exact)
+
+    def test_flat_pieces_match_closed_form(self):
+        # the oracle's cos/sin branch on the square well
+        _, t_exact = exact_transfer_matrix([-1.0, 1.0], [-0.5, -0.5], math.pi)
+        assert abs(t_exact - closed_form_transmission(-0.5, 1.0, math.pi)) <= 1e-14
 
 
 class TestScatteringCoefficients:
@@ -69,10 +140,19 @@ class TestScatteringCoefficients:
 
     @pytest.mark.parametrize("v0", [200.0, 500.0, 2000.0])
     def test_lost_barrier_solution_raises(self, v0):
-        # the exact |t| is 9e-13, 3e-20 and 5e-40; the integration returns
-        # 6e-5, 1.3e3 and 4e22
+        # the exact |t| is 9e-13, 3e-20 and 5e-40; the matching returns
+        # 7e-5, 1.1e3 and 5e21
         with pytest.raises(SolverFailure, match="unitarity defect"):
             scattering_coefficients(square_well(v0, 1.0), math.pi)
+
+    @pytest.mark.parametrize("v0", [1e5, 3e5])
+    def test_overflowing_barrier_raises_without_warnings(self, v0):
+        # the matching overflows at 1e5 and the integration at 3e5; neither
+        # may leak a floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure):
+                scattering_coefficients(square_well(v0, 1.0), math.pi)
 
     def test_non_finite_transfer_matrix_raises(self, monkeypatch):
         monkeypatch.setattr(scattering, "_transfer_matrix",

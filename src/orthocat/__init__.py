@@ -12,6 +12,8 @@ from .core import (
     Grid,
     Potential,
     PotentialNorms,
+    SmallnessReport,
+    SolverFailure,
     SystemConfig,
     build_grid,
     fermi_grid,
@@ -19,6 +21,7 @@ from .core import (
     inner_product,
     potential_norms,
     scale_potential,
+    smallness_report,
     square_well,
     support_quadrature,
     table_potential,
@@ -64,7 +67,6 @@ from .operators import (
     OmegaOperator,
     PhiHat,
     SignOperator,
-    SmallnessReport,
     birman_schwinger,
     bounds_audit,
     contour_anderson,
@@ -72,7 +74,6 @@ from .operators import (
     omega_operator,
     phi_hat,
     sign_operator,
-    smallness_report,
 )
 from .perturbed import (
     AmbiguousEnergyError,

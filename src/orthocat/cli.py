@@ -16,10 +16,10 @@ import json
 import math
 import sys
 
-from .core import ConfigurationError, SystemConfig, fermi_grid, potential_norms
+from .core import ConfigurationError, SystemConfig, fermi_grid, potential_norms, smallness_report
 from .free import fermi_energy, free_eigenvalues
 from .metrics import anderson_result, det_bounds
-from .operators import bounds_audit, contour_anderson, gamma_matrix, smallness_report
+from .operators import bounds_audit, contour_anderson, gamma_matrix
 from .perturbed import bargmann_upper_bound, count_below, counting_lower_bound, perturbed_eigenvalues
 from .scattering import gamma_gkm, gamma_scattering
 from . import sweep as sweep_mod
@@ -138,8 +138,8 @@ def _cmd_audit(args) -> int:
     L = SystemConfig(args.rho, args.N).L
     nu = fermi_energy(args.N, L)
     grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
-    items = bounds_audit(V, args.N, L, grid)
     res = anderson_result(args.N, V, L, grid)
+    items = bounds_audit(V, args.N, L, grid, result=res)
     report = det_bounds(args.N, V, L, grid, result=res)
     all_ok = True
     for item in items:

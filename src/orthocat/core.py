@@ -1,5 +1,7 @@
-"""Shared domain objects: compactly supported potentials, composite quadrature
-grids, thermodynamic system configuration, and basic integral utilities.
+"""Shared domain objects and decisions: compactly supported potentials, the
+Gauss-Legendre panels of every quadrature (``_panelize``), thermodynamic
+system configuration, potential norms and the weak-coupling measures, integral
+utilities, and the errors (``ConfigurationError``, ``SolverFailure``).
 
 All quantities use natural units (hbar = 2m = 1), so the kinetic operator is
 -d^2/dx^2, energies are squared wavenumbers, and lengths are inverse
@@ -9,7 +11,7 @@ wavenumbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -17,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "ConfigurationError",
+    "SolverFailure",
     "Potential",
     "square_well",
     "gaussian_truncated",
@@ -24,6 +27,8 @@ __all__ = [
     "scale_potential",
     "PotentialNorms",
     "potential_norms",
+    "SmallnessReport",
+    "smallness_report",
     "Grid",
     "build_grid",
     "fermi_grid",
@@ -36,6 +41,11 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Requested parameters violate a documented precondition."""
+
+
+class SolverFailure(RuntimeError):
+    """A numerical method failed: it did not converge, met a singular system,
+    or returned a result that failed its own consistency check."""
 
 
 def _table(xs, x, values):
@@ -272,6 +282,32 @@ def potential_norms(V: Potential, grid: Grid | None = None) -> PotentialNorms:
     x2 = float(w @ (x * x * av))
     l1p = float(w @ np.clip(v, 0.0, None))
     return PotentialNorms(l1, V.sup_abs, x1, x2, l1p, max(0.0, -V.vmin))
+
+
+@dataclass(frozen=True)
+class SmallnessReport:
+    """Dimensionless coupling measures controlling the Neumann-series
+    invertibility guarantees; each must be < 1 for the associated bound."""
+
+    q_omega: float   # 4 ||V||_1 / sqrt(nu)
+    q_inf: float     # (3/2) ||V||_1 / sqrt(nu)
+    q_phi: float     # (1/2) ||V||_1 / sqrt(nu)
+    z_cond: float    # ||V||_1 C_phi / sqrt(nu)
+
+    @property
+    def c_omega(self) -> float:
+        return 1.0 / (1.0 - self.q_omega) if self.q_omega < 1.0 else math.inf
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def smallness_report(V: Potential, nu: float) -> SmallnessReport:
+    l1 = potential_norms(V).l1
+    root = math.sqrt(nu)
+    q_phi = 0.5 * l1 / root
+    c_phi = 1.0 / (1.0 - q_phi) if q_phi < 1.0 else math.inf
+    return SmallnessReport(4.0 * l1 / root, 1.5 * l1 / root, q_phi, l1 * c_phi / root)
 
 
 def inner_product(f, g, grid: Grid):

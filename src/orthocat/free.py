@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import _GAUSS_RULE
+from .core import _panelize
 
 __all__ = [
     "NearSpectrumError",
@@ -310,15 +310,8 @@ def _oscillatory_panel_integral(f, A: float, max_freq: float):
     if A == 0.0:
         return 0.0
     width = math.pi / (2.0 * max(max_freq, 1.0))
-    n_panels = max(1, int(math.ceil(abs(A) / width)))
-    t, wt = _GAUSS_RULE
-    edges = np.linspace(0.0, A, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        u = 0.5 * (lo + hi) + half * t
-        total += half * np.dot(wt, f(u))
-    return total
+    u, w, _ = _panelize([min(0.0, A), max(0.0, A)], [width])
+    return math.copysign(1.0, A) * np.dot(w, f(u))
 
 
 @dataclass(frozen=True)

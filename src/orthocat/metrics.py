@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Grid, Potential, potential_norms
+from .core import Grid, Potential, smallness_report
 from .free import fermi_energy, free_eigenfunction_matrix
 from .perturbed import count_below, eigenpairs
 
@@ -55,25 +55,11 @@ def overlap_matrix(
     L: float,
     grid: Grid,
     tol: float = 1e-10,
-    pairs=None,
-    n_perturbed: int | None = None,
 ) -> OverlapMatrix:
-    """Overlap matrix by quadrature of phi_j * psi_k on the grid.
-
-    ``pairs`` can supply precomputed perturbed eigenfunction samples (rows of
-    shape (m, grid.size)); ``n_perturbed`` widens the perturbed basis beyond n
-    columns, which the tail-sum diagnostics use.
-    """
-    m = n_perturbed or n
-    if pairs is None:
-        _, psi = eigenpairs(m, V, L, grid, tol=tol)
-    else:
-        psi = np.asarray(pairs)
-        if psi.shape[0] < m:
-            raise ValueError(f"need {m} perturbed rows, got {psi.shape[0]}")
+    """Overlap matrix by quadrature of phi_j * psi_k on the grid."""
+    _, psi = eigenpairs(n, V, L, grid, tol=tol)
     phi = free_eigenfunction_matrix(n, L, grid.nodes)
-    a = (phi * grid.weights[None, :]) @ psi[:m].T
-    return OverlapMatrix(n, a)
+    return OverlapMatrix(n, (phi * grid.weights[None, :]) @ psi.T)
 
 
 def anderson_integral(overlap: OverlapMatrix) -> float:
@@ -140,7 +126,7 @@ class DetBoundsReport:
     log_upper: float
     log_lower: float          # -inf when the defect reaches 1
     defect: float
-    weak_coupling_bound: float      # 16 C_Omega ||V||_1 / sqrt(nu); inf unless q_Omega < 1
+    weak_coupling_bound: float      # 4 q_Omega C_Omega; inf unless q_Omega < 1
     q_omega: float
 
     @property
@@ -162,13 +148,7 @@ def det_bounds(n: int, V: Potential, L: float, grid: Grid,
                result: AndersonResult | None = None) -> DetBoundsReport:
     if result is None:
         result = anderson_result(n, V, L, grid)
-    nu = fermi_energy(n, L)
-    l1 = potential_norms(V).l1
-    q_omega = 4.0 * l1 / math.sqrt(nu)
-    if q_omega < 1.0:
-        weak_coupling_bound = 16.0 * l1 / ((1.0 - q_omega) * math.sqrt(nu))
-    else:
-        weak_coupling_bound = math.inf
+    coupling = smallness_report(V, fermi_energy(n, L))
     defect = result.defect_norm
     log_lower = (
         -result.anderson_integral / (1.0 - defect) if defect < 1.0 else -math.inf
@@ -178,6 +158,6 @@ def det_bounds(n: int, V: Potential, L: float, grid: Grid,
         log_upper=-result.anderson_integral,
         log_lower=log_lower,
         defect=defect,
-        weak_coupling_bound=weak_coupling_bound,
-        q_omega=q_omega,
+        weak_coupling_bound=4.0 * coupling.q_omega * coupling.c_omega,
+        q_omega=coupling.q_omega,
     )

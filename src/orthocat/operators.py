@@ -7,18 +7,19 @@ All integral operators are sandwiched between sqrt(|V|) factors, so every
 matrix lives on the quadrature nodes inside the support of V.  Matrices are
 stored unweighted (kernel values times the sqrt(|V|) factors); composition
 with the quadrature is explicit.  Operator norms in L^2 are spectral norms of
-the symmetrized matrix D_sqrt(w) K D_sqrt(w).
+the symmetrized matrix D_sqrt(w) K D_sqrt(w).  A singular system or a failed
+consistency check raises ``core.SolverFailure``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .core import _GAUSS_RULE, Grid, Potential, potential_norms
+from .core import Grid, Potential, SolverFailure, _panelize, potential_norms, smallness_report
 from .free import (
     fermi_contour_point,
     fermi_energy,
@@ -33,8 +34,6 @@ __all__ = [
     "NystromOperator",
     "SignOperator",
     "sign_operator",
-    "SmallnessReport",
-    "smallness_report",
     "birman_schwinger",
     "OmegaOperator",
     "omega_operator",
@@ -87,32 +86,6 @@ def sign_operator(V: Potential, nodes: np.ndarray) -> SignOperator:
     return SignOperator(np.where(V(nodes) < 0.0, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class SmallnessReport:
-    """Dimensionless coupling measures controlling the Neumann-series
-    invertibility guarantees; each must be < 1 for the associated bound."""
-
-    q_omega: float   # 4 ||V||_1 / sqrt(nu)
-    q_inf: float     # (3/2) ||V||_1 / sqrt(nu)
-    q_phi: float     # (1/2) ||V||_1 / sqrt(nu)
-    z_cond: float    # ||V||_1 C_phi / sqrt(nu)
-
-    @property
-    def c_omega(self) -> float:
-        return 1.0 / (1.0 - self.q_omega) if self.q_omega < 1.0 else math.inf
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def smallness_report(V: Potential, nu: float) -> SmallnessReport:
-    l1 = potential_norms(V).l1
-    root = math.sqrt(nu)
-    q_phi = 0.5 * l1 / root
-    c_phi = 1.0 / (1.0 - q_phi) if q_phi < 1.0 else math.inf
-    return SmallnessReport(4.0 * l1 / root, 1.5 * l1 / root, q_phi, l1 * c_phi / root)
-
-
 def birman_schwinger(z, V: Potential, grid: Grid, L: float | None = None) -> NystromOperator:
     """sqrt(|V|) R(z) sqrt(|V|) on the support nodes."""
     if L is None:
@@ -125,15 +98,13 @@ def birman_schwinger(z, V: Potential, grid: Grid, L: float | None = None) -> Nys
 
 @dataclass(frozen=True)
 class OmegaOperator:
-    """Inverse (1 - sqrt(|V|) R(z) sqrt(|V|) J)^{-1} with its norm and the
-    smallness diagnostics attached."""
+    """Inverse (1 - sqrt(|V|) R(z) sqrt(|V|) J)^{-1} with its norm."""
 
     nodes: np.ndarray
     weights: np.ndarray
     matrix: np.ndarray
     sign: np.ndarray
     norm: float
-    smallness: SmallnessReport
 
 
 def omega_operator(z, V: Potential, grid: Grid, L: float | None = None,
@@ -150,16 +121,16 @@ def omega_operator(z, V: Potential, grid: Grid, L: float | None = None,
     try:
         omega = np.linalg.solve(system, np.eye(bs.nodes.size, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Birman-Schwinger system singular at z = {z}; "
-                           "z may coincide with a perturbed eigenvalue") from exc
+        raise SolverFailure(f"Birman-Schwinger system singular at z = {z}; "
+                            "z may coincide with a perturbed eigenvalue") from exc
     sw = np.sqrt(bs.weights)
     norm = float(np.linalg.norm(sw[:, None] * omega / sw[None, :], 2))
     if nu is None:
         nu = abs(complex(z))
     rep = smallness_report(V, nu)
     if rep.q_omega < 1.0 and norm > rep.c_omega * (1.0 + 1e-8):
-        raise RuntimeError(f"Neumann bound violated: |Omega| = {norm} > {rep.c_omega}")
-    return OmegaOperator(bs.nodes, bs.weights, omega, J, norm, rep)
+        raise SolverFailure(f"Neumann bound violated: |Omega| = {norm} > {rep.c_omega}")
+    return OmegaOperator(bs.nodes, bs.weights, omega, J, norm)
 
 
 @dataclass(frozen=True)
@@ -168,9 +139,7 @@ class PhiHat:
     cosine directions; self-adjoint, and the only input to the matrix route
     for gamma."""
 
-    nu: float
     matrix: np.ndarray
-    smallness: SmallnessReport
 
 
 def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
@@ -193,13 +162,13 @@ def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
     try:
         sols = np.linalg.solve(system, omega)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError("comparison operator not invertible at this energy") from exc
+        raise SolverFailure("comparison operator not invertible at this energy") from exc
     mat = omega.T @ (wj[:, None] * sols)
     asym = np.abs(mat - mat.T).max()
     if asym > 1e-8 * max(1.0, np.abs(mat).max()):
-        raise RuntimeError(f"lost self-adjointness of the 2x2 reduction: {asym}")
+        raise SolverFailure(f"lost self-adjointness of the 2x2 reduction: {asym}")
     mat = 0.5 * (mat + mat.T)
-    return PhiHat(nu, mat, smallness_report(V, nu))
+    return PhiHat(mat)
 
 
 def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
@@ -210,7 +179,7 @@ def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
     resolv = np.linalg.solve(np.eye(2) + F2 / (4.0 * nu), F2)
     g = float(np.trace(resolv)) / (4.0 * math.pi**2 * nu)
     if g < -1e-12:
-        raise RuntimeError(f"negative gamma from a self-adjoint reduction: {g}")
+        raise SolverFailure(f"negative gamma from a self-adjoint reduction: {g}")
     return max(g, 0.0)
 
 
@@ -242,21 +211,18 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     edges = list(np.linspace(0.0, s_uniform, math.ceil(s_uniform / width) + 1))
     while edges[-1] < s_cut:
         edges.append(min(2.0 * edges[-1], s_cut))
-    t_ref, w_ref = _GAUSS_RULE
+    s_nodes, s_weights, _ = _panelize(edges, np.diff(edges))  # one panel per interval
 
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        for ts, ws in zip(t_ref, w_ref):
-            s = 0.5 * (lo + hi) + half * ts
-            z = fermi_contour_point(nu, s).z
-            kern = green_kernel(z, x[:, None], x[None, :], L)
-            lu = lu_factor(np.eye(x.size) - sq[:, None] * kern * (sq * wJ)[None, :])
-            u = lu_solve(lu, v_mat)                      # Omega sqrt|V| phi_j
-            h = sq[:, None] * squared_resolvent_apply(z, x, (sq * wJ)[:, None] * u, L)
-            p = lu_solve(lu, h)
-            trace = np.sum(np.einsum("ij,i,ij->j", v_mat, wJ, p) / (z - lam_low))
-            total += half * ws * (2.0 / math.pi) * ((root + 1j * s) * trace).real
+    for s, ws in zip(s_nodes, s_weights):
+        z = fermi_contour_point(nu, s).z
+        kern = green_kernel(z, x[:, None], x[None, :], L)
+        lu = lu_factor(np.eye(x.size) - sq[:, None] * kern * (sq * wJ)[None, :])
+        u = lu_solve(lu, v_mat)                      # Omega sqrt|V| phi_j
+        h = sq[:, None] * squared_resolvent_apply(z, x, (sq * wJ)[:, None] * u, L)
+        p = lu_solve(lu, h)
+        trace = np.sum(np.einsum("ij,i,ij->j", v_mat, wJ, p) / (z - lam_low))
+        total += ws * (2.0 / math.pi) * ((root + 1j * s) * trace).real
     return float(total)
 
 
@@ -297,6 +263,8 @@ def bounds_audit(
     root = math.sqrt(nu)
     norms = potential_norms(V)
     x, w = _support(V, grid)
+    lam = free_eigenvalues(L, N)
+    phi = free_eigenfunction_matrix(N, L, x)
     items: list[AuditItem] = []
 
     for s in s_samples:
@@ -317,8 +285,6 @@ def bounds_audit(
             )
         )
 
-        lam = free_eigenvalues(L, N)
-        phi = free_eigenfunction_matrix(N, L, x)
         kern_sn = (phi.T / (z - lam)) @ phi
         items.append(
             AuditItem(
@@ -341,10 +307,9 @@ def bounds_audit(
         )
     )
 
-    worst = -math.inf
-    for n in range(1, 501):
-        j = np.arange(1, n + 1)
-        lhs = float(np.sum(1.0 / (n + 0.5 - j)))
-        worst = max(worst, lhs - 4.0 * math.log(n + 1.0))
+    # sum_{j<=n} 1/(n + 1/2 - j) = sum_{m<n} 1/(m + 1/2), for n = 1..500
+    n = np.arange(1, 501)
+    lhs = np.cumsum(1.0 / (n - 0.5))
+    worst = float(np.max(lhs - 4.0 * np.log(n + 1.0)))
     items.append(AuditItem("half_integer_sum_estimate", worst, 0.0))
     return items

@@ -20,7 +20,8 @@ is unwrapped step by step from atan2(sigma psi, psi').
 
 All eigenvalues of a row come from one vectorized Illinois iteration inside
 the min-max brackets, and all eigenfunctions from one more pass that also
-steps through the support nodes of the grid and samples psi there.
+steps through the support nodes of the grid and samples psi there.  Failures
+raise ``core.SolverFailure``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Potential, potential_norms
+from .core import Grid, Potential, SolverFailure, potential_norms
 from .free import free_eigenvalue
-from .odes import SolverFailure
 
 __all__ = [
     "AmbiguousEnergyError",

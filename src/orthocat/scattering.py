@@ -7,7 +7,9 @@ e^{ikx} + r1 e^{-ikx} on the left of the support and t e^{ikx} on the right;
 for incidence from the right, e^{-ikx} + r2 e^{ikx} on the right and
 t e^{-ikx} on the left.  The transmission coefficient is direction
 independent; the matching below computes it from both sides and folds the
-difference into the reported unitarity defect.
+difference into the reported unitarity defect.  The transfer matrix comes
+from DOP853, the 8(5,3) Dormand-Prince pair (Hairer, Norsett & Wanner, Solving
+ODEs I, II.10); a failed integration or check raises ``core.SolverFailure``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from .core import Potential
-from .odes import SolverFailure, adaptive_ivp
+from .core import Potential, SolverFailure
 
 __all__ = [
     "ScatteringData",
@@ -45,6 +47,20 @@ class ScatteringData:
     def matrix(self) -> np.ndarray:
         """S-matrix [[t, r2], [r1, t]]."""
         return np.array([[self.t, self.r2], [self.r1, self.t]])
+
+
+def adaptive_ivp(rhs, x0, x1, y0, *, rtol, atol):
+    """Integrate y' = rhs(x, y) from x0 to x1 with DOP853.  Callers pass one
+    piece on which rhs is smooth: a kink inside caps the order of the error
+    estimate and multiplies the steps.
+
+    Returns the scipy solution object; raises SolverFailure instead of
+    returning silently unsuccessful results.
+    """
+    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise SolverFailure(f"adaptive RK failed on [{x0}, {x1}]: {sol.message}")
+    return sol
 
 
 def _transfer_matrix(V: Potential, k: float) -> np.ndarray:
@@ -121,7 +137,7 @@ def gamma_scattering(V: Potential, nu: float) -> float:
     t = scattering_coefficients(V, math.sqrt(nu)).t
     g = (1.0 - t.real) / _PI2
     if g < -1e-10:
-        raise RuntimeError(f"transmission coefficient above unit modulus: t = {t}")
+        raise SolverFailure(f"transmission coefficient above unit modulus: t = {t}")
     return max(g, 0.0)
 
 

@@ -22,16 +22,17 @@ from .core import (
     NODES_PER_PANEL,
     ConfigurationError,
     Potential,
+    SolverFailure,
     SystemConfig,
     fermi_grid,
     gaussian_truncated,
+    smallness_report,
     square_well,
     table_potential,
 )
 from .free import NearSpectrumError
 from .metrics import AndersonResult, anderson_result
-from .odes import SolverFailure
-from .operators import gamma_matrix, smallness_report
+from .operators import gamma_matrix
 from .perturbed import AmbiguousEnergyError
 from .scattering import gamma_gkm, gamma_scattering
 
@@ -89,10 +90,6 @@ class SweepConfig:
             raise ConfigurationError("fit fraction must lie in (0, 1]")
         if self.workers < 1:
             raise ConfigurationError("workers must be a positive integer")
-
-    @property
-    def nu(self) -> float:
-        return (math.pi * self.rho) ** 2
 
 
 def _floats(text) -> list:
@@ -204,11 +201,11 @@ class SweepResult:
 
 def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
-    L = SystemConfig(config.rho, n).L
-    grid = fermi_grid(V, L, config.nu, config.nodes_per_wavelength)
-    res: AndersonResult = anderson_result(n, V, L, grid, tol=config.eigen_tol)
+    system = SystemConfig(config.rho, n)
+    grid = fermi_grid(V, system.L, system.nu, config.nodes_per_wavelength)
+    res: AndersonResult = anderson_result(n, V, system.L, grid, tol=config.eigen_tol)
     return SweepRow(
-        n, L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok"
+        n, system.L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok"
     )
 
 
@@ -250,7 +247,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     slope, intercept = np.polyfit(logs, vals, 1)
 
     V = potential_from_spec(config.potential)
-    nu = config.nu
+    nu = SystemConfig(config.rho, config.n_list[0]).nu  # the same at every N
     g_scatter = gamma_scattering(V, nu)
     g_gkm = gamma_gkm(V, nu)
 

@@ -17,6 +17,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_MODULES = ("tracer", "layers", "workloads")  # layers imports tracer by name
+# Tracer hooks whose targets the library no longer has.
+DEAD_HOOKS = ("orthocat.sweep.build_grid", "orthocat.perturbed.adaptive_ivp",
+              "orthocat.metrics.potential_norms")
 
 
 def _load(name):
@@ -55,6 +58,9 @@ def test_traced_run_reports_every_declared_metric(bench):
     missing, extra = sorted(declared - reported), sorted(reported - declared)
     assert not missing, f"declared per-layer metrics not reported: {missing}"
     assert not extra, f"reported per-layer metrics not declared: {extra}"
+    # a hook whose target moved is skipped silently; name every known one so
+    # that dropping another fails here, not as malformed benchmark output
+    assert sorted(tracer.missing) == sorted(DEAD_HOOKS)
 
 
 def test_traced_gamma_pass_counts_real_solves(bench, tmp_path):

@@ -75,19 +75,18 @@ class TestAndersonIntegral:
         L = (N + 0.5) / 2.0
         # the grid must resolve the fastest retained mode, k = K
         from orthocat.core import build_grid
+        from orthocat.free import free_eigenfunction_matrix
+        from orthocat.metrics import OverlapMatrix
 
         grid = build_grid(L, math.pi * (K + 1) / (2 * L), support=(-1.0, 1.0))
         _, psi = eigenpairs(K, well_attractive, L, grid, tol=1e-10)
-        ov_wide = overlap_matrix(N, well_attractive, L, grid, pairs=psi, n_perturbed=K)
-        ov = overlap_matrix(N, well_attractive, L, grid, pairs=psi)
-        i_completeness = anderson_integral(ov)
-        tail = float(np.sum(ov_wide.matrix[:, N:] ** 2))
+        phi = free_eigenfunction_matrix(N, L, grid.nodes)
+        wide = (phi * grid.weights) @ psi.T  # N x K overlaps
+        i_completeness = anderson_integral(OverlapMatrix(N, wide))
+        tail = float(np.sum(wide[:, N:] ** 2))
 
         # remainder over k > K: the k-th coefficient of V phi_j divided by
         # mu_k - lambda_j, so sum_j ||V phi_j||^2 / (mu_{K+1} - lambda_N)^2
-        from orthocat.free import free_eigenfunction_matrix
-
-        phi = free_eigenfunction_matrix(N, L, grid.nodes)
         v_phi_sq = (phi**2 * well_attractive(grid.nodes) ** 2) @ grid.weights
         lam = free_eigenvalues(L, K + 1)
         linf = potential_norms(well_attractive).linf

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from orthocat.cli import cli_main
-from orthocat.core import scale_potential, square_well, table_potential
+from orthocat.core import SolverFailure, scale_potential, square_well, table_potential
 from orthocat import scattering
-from orthocat.odes import SolverFailure
 from orthocat.scattering import (
     gamma_gkm,
     gamma_scattering,

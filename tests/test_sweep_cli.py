@@ -208,6 +208,28 @@ class TestCli:
         assert "PASS" in out
         assert "determinant_sandwich" in out
 
+    def test_audit_computes_its_row_once(self, capsys, monkeypatch):
+        # the audit hands its row to bounds_audit and det_bounds instead of
+        # letting either solve the same (N, rho) instance again
+        import orthocat.cli as cli_mod
+        import orthocat.metrics as metrics_mod
+
+        real, calls = metrics_mod.anderson_result, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "anderson_result", counted)
+        monkeypatch.setattr(metrics_mod, "anderson_result", counted)
+        code = cli_main([
+            "audit", "--potential", "square_well", "--v0", "0.5", "--a", "1",
+            "--N", "10", "--rho", "1",
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert calls == [10]
+
     def test_spectrum_subcommand(self, capsys):
         code = cli_main([
             "spectrum", "--potential", "square_well", "--v0", "-0.5", "--a", "1",

@@ -7,7 +7,9 @@ enters.  On a set of n points the kernels are built from O(n) rescaled
 sine and cosine factors (semi-separable in min(x, y) and max(x, y), or
 separable), so they remain finite for complex energies far from the real axis
 even when L is large, and the squared resolvent is applied through prefix
-sums without being formed.
+sums without being formed.  Systems 1 - diag(a) K diag(d) in an outgoing
+wave kernel plus a rank-two separable part, the Green kernel among them, are
+solved in O(n) through a banded embedding (``_helmholtz_solve``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .core import _panelize
+from .core import SolverFailure, _panelize
 
 __all__ = [
     "NearSpectrumError",
@@ -128,6 +131,16 @@ def _trig(w, shift):
     return (ep - em) / 2j, (ep + em) / 2.0
 
 
+def _wronskian(rz: complex, L: float) -> complex:
+    """W(z) / sqrt(z) = sin(2 L sqrt(z)) e^{-2mL}, m = |Im sqrt(z)|; raises
+    NearSpectrumError where it vanishes on the real axis."""
+    m = abs(rz.imag)
+    w = _trig(2.0 * L * rz, 2.0 * L * m)[0]
+    if 2.0 * L * m < 1.0 and abs(w) < 1e-14:
+        raise NearSpectrumError(f"energy too close to the Dirichlet spectrum (|sin 2L sqrt(z)| ~ {abs(w)})")
+    return w
+
+
 def _factors(z, L: float, *points):
     """sqrt(z), W(z) / sqrt(z) = sin(2 L sqrt(z)) e^{-2mL}, and at each array of
     points ((sin, cos) of sqrt(z)(t + L) e^{-m(L + c)}, (sin, cos) of
@@ -136,9 +149,7 @@ def _factors(z, L: float, *points):
     one at max(x, y) is at most 1."""
     rz = complex(_sqrt_energy(z))
     m = abs(rz.imag)
-    w = _trig(2.0 * L * rz, 2.0 * L * m)[0]
-    if 2.0 * L * m < 1.0 and abs(w) < 1e-14:
-        raise NearSpectrumError(f"energy too close to the Dirichlet spectrum (|sin 2L sqrt(z)| ~ {abs(w)})")
+    w = _wronskian(rz, L)
     points = [np.asarray(t, dtype=float) for t in points]
     lo, hi = min(t.min(initial=np.inf) for t in points), max(t.max(initial=-np.inf) for t in points)
     if m * 0.5 * (hi - lo) >= 700.0:  # e^700 ~ 1e304, the largest factor scale
@@ -203,6 +214,77 @@ def _semiseparable_apply(a, b, Y):
     head = np.cumsum(a[:, None] * Y, axis=0)
     tail = np.cumsum((b[:, None] * Y)[:0:-1], axis=0)[::-1]
     return b[:, None] * head + a[:, None] * np.concatenate([tail, np.zeros_like(head[:1])])
+
+
+def _helmholtz_solve(k: complex, x, a, d, U, C, B):
+    """Solve (1 - diag(a) K diag(d)) X = B on sorted points x in O(n) for the
+    kernel K(x, y) = -i e^{ik|x-y|} / 2k + U(x) C U(y)^T, Im k >= 0, U of
+    shape (n, 2).  Returns X and a function solving further right-hand sides
+    with the same factors.
+
+    The outgoing part is embedded in a (3, 3)-banded system in the unknowns
+    g_i, P_i = sum_{j<=i} e^{ik(x_i - x_j)} d_j g_j and
+    Q_i = sum_{j>i} e^{ik(x_j - x_i)} d_j g_j, coupled only through
+    e^{ik(x_i - x_{i-1})}, of modulus at most one; the min/max generators of
+    ``green_kernel`` grow and shrink exponentially and make the elimination
+    unstable.  The rank-two part enters by Woodbury, its two columns solved
+    with B.  A singular band or capacitance raises SolverFailure."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("points must be sorted")
+    n, kl = x.size, 3
+    e = np.exp(1j * k * np.diff(x))
+    ig, ip, iq = (np.arange(r, 3 * n, 3) for r in range(3))
+    ab = np.zeros((3 * kl + 1, 3 * n), dtype=complex)  # LAPACK band storage, kl = ku
+
+    def put(rows, cols, values):
+        ab[2 * kl + rows - cols, cols] = values
+
+    put(np.arange(3 * n), np.arange(3 * n), 1.0)
+    put(ig, ip, 0.5j * a / k)                 # g_i + (i/2k) a_i (P_i + Q_i) = b_i
+    put(ig, iq, 0.5j * a / k)
+    put(ip, ig, -d)                           # P_i = e_i P_{i-1} + d_i g_i
+    put(ip[1:], ip[:-1], -e)
+    put(iq[:-1], iq[1:], -e)                  # Q_i = e_{i+1} (Q_{i+1} + d_{i+1} g_{i+1})
+    put(iq[:-1], ig[1:], -e * d[1:])
+    lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+    if info != 0:
+        raise SolverFailure(f"banded Helmholtz system singular (zgbtrf info = {info})")
+
+    def banded_solve(rhs):
+        full = np.zeros((3 * n, rhs.shape[1]), dtype=complex)
+        full[ig] = rhs
+        return zgbtrs(lu, kl, kl, full, piv, overwrite_b=1)[0][ig]
+
+    first = banded_solve(np.column_stack([B, a[:, None] * U]))
+    Y, dU = first[:, -2:], d[:, None] * U
+    CM = C @ (dU.T @ Y)
+    S = np.eye(2) - CM                        # capacitance, entries known to eps (1 + |CM|)
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    if not abs(det) > np.finfo(float).eps * (1.0 + np.abs(CM).max()) ** 2:
+        raise SolverFailure(f"rank-two capacitance singular (det = {det})")
+    gain = Y @ (np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det @ C)
+
+    def correct(X0):
+        return X0 + gain @ (dU.T @ X0)
+
+    return correct(first[:, :-2]), lambda rhs: correct(banded_solve(rhs))
+
+
+def _green_kernel_solve(z, x, a, d, L: float, B):
+    """``_helmholtz_solve`` for the Dirichlet kernel ``green_kernel``,
+    G = -i e^{ik|x-y|} / 2k - (i/k) [-q/(1+q) cos kx cos ky + q/(1-q) sin kx sin ky]
+    with k = sqrt(z), Im k >= 0, q = e^{2ikL}; the columns sqrt(q) (cos kx, sin kx)
+    are at most e^{-m(L - |x|)} <= 1 in modulus.  Raises NearSpectrumError
+    where 1 + q or 1 - q vanishes, as ``green_kernel`` does."""
+    k = complex(_sqrt_energy(z))
+    k = -k if k.imag < 0 else k
+    _wronskian(k, L)
+    q = np.exp(2j * k * L)
+    ep, em = np.exp(1j * k * (L + x)), np.exp(1j * k * (L - x))
+    U = np.column_stack([(ep + em) / 2.0, (ep - em) / 2j])
+    C = np.diag([1.0 / (1.0 + q), -1.0 / (1.0 - q)]) * (1j / k)
+    return _helmholtz_solve(k, x, a, d, U, C, B)
 
 
 def squared_resolvent_apply(z, x, Y, L: float):

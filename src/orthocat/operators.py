@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .core import Grid, Potential, SolverFailure, _panelize, potential_norms, smallness_report
 from .free import (
+    _green_kernel_solve,
+    _helmholtz_solve,
     fermi_contour_point,
     fermi_energy,
     free_eigenfunction_matrix,
@@ -145,25 +146,26 @@ class PhiHat:
 def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
     """Assemble the 2x2 matrix of weighted inner products
     (omega_a, J Phi omega_b) where Phi inverts 1 - sqrt(|V|) K sqrt(|V|) J
-    and K has the kernel sin(sqrt(nu)|x-y|) / (2 sqrt(nu)).
+    and K has the kernel sin(k|x-y|) / 2k, k = sqrt(nu).
 
-    Everything lives on the support of V, so the result does not depend on
-    the box size.
+    K = -i e^{ik|x-y|} / 2k + (i/2k) (cos kx cos ky + sin kx sin ky) is solved
+    in O(n) by ``free._helmholtz_solve``; the system is real, so the solution
+    is its real part, and an imaginary part above 1e-10 of it raises
+    SolverFailure.  Everything lives on the support of V, so the result does
+    not depend on the box size.
     """
     if nu <= 0:
         raise ValueError("energy must be positive")
     x, w = _support(V, grid)
     root = math.sqrt(nu)
     sq = np.sqrt(np.abs(V(x)))
-    kern = np.sin(root * np.abs(x[:, None] - x[None, :])) / (2.0 * root)
     wj = w * sign_operator(V, x).diagonal
-    system = np.eye(x.size) - (sq[:, None] * kern * sq[None, :]) * wj[None, :]
-    omega = np.column_stack([sq * np.sin(root * x), sq * np.cos(root * x)])
-    try:
-        sols = np.linalg.solve(system, omega)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("comparison operator not invertible at this energy") from exc
-    mat = omega.T @ (wj[:, None] * sols)
+    sn, cs = np.sin(root * x), np.cos(root * x)
+    omega = np.column_stack([sq * sn, sq * cs])
+    sols, _ = _helmholtz_solve(root, x, sq, sq * wj, np.column_stack([cs, sn]), (0.5j / root) * np.eye(2), omega)
+    if np.abs(sols.imag).max() > 1e-10 * np.abs(sols.real).max():
+        raise SolverFailure("complex solution of the real comparison system")
+    mat = omega.T @ (wj[:, None] * sols.real)
     asym = np.abs(mat - mat.T).max()
     if asym > 1e-8 * max(1.0, np.abs(mat).max()):
         raise SolverFailure(f"lost self-adjointness of the 2x2 reduction: {asym}")
@@ -173,29 +175,29 @@ def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
 
 def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
     """Orthogonality exponent from the 2x2 reduction,
-    gamma = tr[(1 + F^2/4nu)^{-1} F^2] / (4 pi^2 nu) with F the phi_hat matrix."""
-    F = phi_hat(nu, V, grid).matrix
-    F2 = F @ F
-    resolv = np.linalg.solve(np.eye(2) + F2 / (4.0 * nu), F2)
-    g = float(np.trace(resolv)) / (4.0 * math.pi**2 * nu)
-    if g < -1e-12:
-        raise SolverFailure(f"negative gamma from a self-adjoint reduction: {g}")
-    return max(g, 0.0)
+    gamma = tr[(1 + F^2/4nu)^{-1} F^2] / (4 pi^2 nu) with F the phi_hat
+    matrix, summed over the eigenvalues f of the symmetric F as
+    sum f^2 / (1 + f^2/4nu): non-negative by construction."""
+    f2 = np.linalg.eigvalsh(phi_hat(nu, V, grid).matrix) ** 2
+    return float(np.sum(f2 / (1.0 + f2 / (4.0 * nu)))) / (4.0 * math.pi**2 * nu)
 
 
 def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     """Anderson integral through its contour representation,
     (1/2 pi i) * integral over the Fermi parabola of tr[P_N R T R^2 T] dz.
 
-    Each contour node factors 1 - sqrt|V| R sqrt|V| J once for both solves
-    and applies R^2 = -dR/dz = (D - C + G/2) / z in closed form
-    (``squared_resolvent_apply``).  The s >= 0 half suffices by conjugation
-    symmetry.  Gauss panels (``core.NODES_PER_PANEL`` nodes each) of width
-    <= min(1/2, 1/max(L - a, L/2)) cover s <= 1, where the box sets the
-    oscillation; panels doubling in width continue to the cut.  The integrand
-    decays like s^-6: the part beyond s = 128 measured 1-2e-8 of I (wells, a
-    table, a Gaussian; N = 10, 40), 30 times less per doubling.  The cut is
-    s = 128, or 690 / a past a = 5.4, where the kernels' domain ends.
+    Each contour node factors 1 - sqrt|V| R sqrt|V| J once for both solves,
+    in O(n) in the n support nodes (``free._green_kernel_solve``: the Green
+    kernel is an outgoing wave plus a rank-two reflection, and no n x n
+    matrix is formed), and applies R^2 = -dR/dz = (D - C + G/2) / z in closed
+    form (``squared_resolvent_apply``).  The s >= 0 half suffices by
+    conjugation symmetry.  Gauss panels (``core.NODES_PER_PANEL`` nodes each)
+    of width <= min(1/2, 1/max(L - a, L/2)) cover s <= 1, where the box sets
+    the oscillation; panels doubling in width continue to the cut.  The
+    integrand decays like s^-6: the part beyond s = 128 measured 1-2e-8 of I
+    (wells, a table, a Gaussian; N = 10, 40), 30 times less per doubling.
+    The cut is s = 128, or 690 / a past a = 5.4, where the kernels' domain
+    ends.
     """
     nu = fermi_energy(N, L)
     root = math.sqrt(nu)
@@ -216,11 +218,9 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         z = fermi_contour_point(nu, s).z
-        kern = green_kernel(z, x[:, None], x[None, :], L)
-        lu = lu_factor(np.eye(x.size) - sq[:, None] * kern * (sq * wJ)[None, :])
-        u = lu_solve(lu, v_mat)                      # Omega sqrt|V| phi_j
+        u, solve = _green_kernel_solve(z, x, sq, sq * wJ, L, v_mat)  # Omega sqrt|V| phi_j
         h = sq[:, None] * squared_resolvent_apply(z, x, (sq * wJ)[:, None] * u, L)
-        p = lu_solve(lu, h)
+        p = solve(h)
         trace = np.sum(np.einsum("ij,i,ij->j", v_mat, wJ, p) / (z - lam_low))
         total += ws * (2.0 / math.pi) * ((root + 1j * s) * trace).real
     return float(total)

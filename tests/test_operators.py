@@ -3,10 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from orthocat.core import build_grid, potential_norms, scale_potential, square_well
-from orthocat.free import fermi_contour_point, fermi_energy, green_kernel
+from orthocat import operators
+from orthocat.core import (
+    SolverFailure,
+    build_grid,
+    fermi_grid,
+    gaussian_truncated,
+    potential_norms,
+    scale_potential,
+    square_well,
+    table_potential,
+)
+from orthocat.free import (
+    NearSpectrumError,
+    _green_kernel_solve,
+    _helmholtz_solve,
+    fermi_contour_point,
+    fermi_energy,
+    green_kernel,
+)
 from orthocat.metrics import anderson_result
 from orthocat.operators import (
+    _support,
     birman_schwinger,
     bounds_audit,
     contour_anderson,
@@ -21,6 +39,24 @@ from orthocat.scattering import gamma_scattering
 from conftest import grid_for
 
 NU = math.pi**2
+
+STRUCTURED_POTENTIALS = {
+    "well(-0.5)": square_well(-0.5, 1.0),
+    "well(+0.5)": square_well(0.5, 1.0),
+    "well(-20)": square_well(-20.0, 1.0),
+    "well(+20)": square_well(20.0, 1.0),
+    "gauss(-0.5)": gaussian_truncated(-0.5, 0.5, 1.5),
+    "table": table_potential([-1.5, -0.5, 0.5, 1.5], [0.0, 0.3, -0.2, 0.0]),
+}
+
+
+def _contour_system(V, N=10):
+    """Box, Fermi energy and the support data of the contour route at 8 nodes
+    per wavelength: nodes, weights, sqrt|V| and sign(V)."""
+    L = (N + 0.5) / 2.0
+    nu = fermi_energy(N, L)
+    x, w = _support(V, grid_for(L, nu=nu, a=V.a, npw=8))
+    return L, nu, x, w, np.sqrt(np.abs(V(x))), sign_operator(V, x).diagonal
 
 
 class TestBirmanSchwinger:
@@ -331,6 +367,99 @@ class TestContourAnderson:
 
         vals = [integrand(s) for s in (0.5, 2.0, 8.0)]
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestStructuredSolve:
+    """The O(n) Birman-Schwinger solves against dense solves of the n x n
+    systems they replace, each built here from its kernel."""
+
+    @pytest.mark.parametrize("name", STRUCTURED_POTENTIALS)
+    def test_green_kernel_system_matches_dense_solve(self, name):
+        L, nu, x, w, sq, J = _contour_system(STRUCTURED_POTENTIALS[name])
+        d = sq * w * J
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((x.size, 3)) + 1j * rng.standard_normal((x.size, 3))
+        for s in (0.0, 1.0, 10.0, 128.0):
+            z = fermi_contour_point(nu, s).z
+            dense = np.eye(x.size) - sq[:, None] * green_kernel(z, x[:, None], x[None, :], L) * d[None, :]
+            ref = np.linalg.solve(dense, B)
+            X, solve = _green_kernel_solve(z, x, sq, d, L, B)
+            for got in (X, solve(B)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), s
+
+    @pytest.mark.parametrize("name", STRUCTURED_POTENTIALS)
+    def test_phi_hat_matches_dense_solve(self, name):
+        # real k: the whole-line kernel sin(k|x-y|) / 2k at the Fermi energy
+        V = STRUCTURED_POTENTIALS[name]
+        grid = fermi_grid(V, V.a, NU, 16)
+        x, w = _support(V, grid)
+        k = math.sqrt(NU)
+        sq = np.sqrt(np.abs(V(x)))
+        wj = w * sign_operator(V, x).diagonal
+        kern = np.sin(k * np.abs(x[:, None] - x[None, :])) / (2.0 * k)
+        omega = np.column_stack([sq * np.sin(k * x), sq * np.cos(k * x)])
+        sols = np.linalg.solve(np.eye(x.size) - sq[:, None] * kern * (sq * wj)[None, :], omega)
+        ref = omega.T @ (wj[:, None] * sols)
+        ref = 0.5 * (ref + ref.T)
+        got = phi_hat(NU, V, grid).matrix
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_dirichlet_spectrum_raises(self, well_attractive):
+        # z = (pi / 2L)^2 makes 1 + q = 1 + e^{2ikL} vanish
+        L, _, x, w, sq, J = _contour_system(well_attractive)
+        z = (math.pi / (2.0 * L)) ** 2
+        with pytest.raises(NearSpectrumError):
+            green_kernel(z, x[:, None], x[None, :], L)
+        with pytest.raises(NearSpectrumError):
+            _green_kernel_solve(z, x, sq, sq * w * J, L, sq[:, None])
+
+    def test_singular_band_raises(self):
+        # one node: 1 - a (-i / 2k) d = 1 + a d vanishes at k = i/2, a = 1, d = -1
+        one = np.ones(1)
+        with pytest.raises(SolverFailure, match="banded"):
+            _helmholtz_solve(0.5j, np.zeros(1), one, -one, np.zeros((1, 2)), np.zeros((2, 2)), one[:, None])
+
+    def test_singular_capacitance_raises(self, well_attractive):
+        # C = (U^T diag(d) Y)^{-1}, Y the outgoing-part solution for diag(a) U,
+        # makes the capacitance 1 - C U^T diag(d) Y vanish
+        _, nu, x, w, sq, J = _contour_system(well_attractive)
+        k, d = math.sqrt(nu), sq * w * J
+        U = np.column_stack([np.cos(k * x), np.sin(k * x)])
+        Y, _ = _helmholtz_solve(k, x, sq, d, U, np.zeros((2, 2)), sq[:, None] * U)
+        C = np.linalg.inv(U.T @ (d[:, None] * Y))
+        with pytest.raises(SolverFailure, match="capacitance"):
+            _helmholtz_solve(k, x, sq, d, U, C, sq[:, None])
+
+    def test_unsorted_points_rejected(self):
+        one = np.ones(2)
+        with pytest.raises(ValueError, match="sorted"):
+            _helmholtz_solve(1.0, np.array([1.0, 0.0]), one, one, np.zeros((2, 2)), np.zeros((2, 2)), one[:, None])
+
+    def test_phi_hat_rejects_complex_solution(self, monkeypatch, well_attractive):
+        solve = operators._helmholtz_solve
+        monkeypatch.setattr(operators, "_helmholtz_solve", lambda *args: (solve(*args)[0] * (1.0 + 1e-8j), None))
+        with pytest.raises(SolverFailure, match="complex"):
+            phi_hat(NU, well_attractive, grid_for(2.0))
+
+    def test_phi_hat_rejects_asymmetric_reduction(self, monkeypatch, well_attractive):
+        solve = operators._helmholtz_solve
+        monkeypatch.setattr(operators, "_helmholtz_solve", lambda *args: (solve(*args)[0] @ [[1.0, 0.0], [0.1, 1.0]], None))
+        with pytest.raises(SolverFailure, match="self-adjointness"):
+            phi_hat(NU, well_attractive, grid_for(2.0))
+
+    def test_routes_form_no_dense_system_and_keep_values(self, monkeypatch):
+        # values of the dense-LU routes they replace, to 1e-12 relative
+        def dense(*args, **kwargs):
+            raise AssertionError("dense kernel or dense solve called")
+
+        monkeypatch.setattr(operators, "green_kernel", dense)
+        monkeypatch.setattr(np.linalg, "solve", dense)
+        V, N, L = square_well(0.1, 1.0), 10, 5.25
+        ci = contour_anderson(N, V, L, grid_for(L, nu=fermi_energy(N, L), npw=8))
+        assert abs(ci / 6.34933095728265e-05 - 1.0) <= 1e-12
+        W = square_well(-0.5, 1.0)
+        g = gamma_matrix(NU, W, fermi_grid(W, W.a, NU, 16))
+        assert abs(g / 1.250663341054007e-03 - 1.0) <= 1e-12
 
 
 class TestBoundsAudit:

@@ -28,7 +28,6 @@ from .core import (
     v_transform,
 )
 from .free import (
-    FermiContourPoint,
     FreeEigenpair,
     NearSpectrumError,
     TruncatedResolventParts,
@@ -65,8 +64,6 @@ from .operators import (
     AuditItem,
     NystromOperator,
     OmegaOperator,
-    PhiHat,
-    SignOperator,
     birman_schwinger,
     bounds_audit,
     contour_anderson,

@@ -2,14 +2,15 @@
 spectra, Green function, commutator and boundary (delta) kernels, the
 truncated resolvent and its Laplace-transform decomposition.
 
-Everything here is closed form or one-dimensional quadrature; no potential
-enters.  On a set of n points the kernels are built from O(n) rescaled
-sine and cosine factors (semi-separable in min(x, y) and max(x, y), or
-separable), so they remain finite for complex energies far from the real axis
-even when L is large, and the squared resolvent is applied through prefix
-sums without being formed.  Systems 1 - diag(a) K diag(d) in an outgoing
-wave kernel plus a rank-two separable part, the Green kernel among them, are
-solved in O(n) through a banded embedding (``_helmholtz_solve``).
+Everything here is closed form or one-dimensional quadrature on Gauss panels
+(``core._panelize``); no potential enters.  On a set of n points the kernels
+are built from O(n) rescaled sine and cosine factors (semi-separable in
+min(x, y) and max(x, y), or separable), so they remain finite for complex
+energies far from the real axis even when L is large, and the squared
+resolvent is applied through prefix sums without being formed.  Systems
+1 - diag(a) K diag(d) in an outgoing wave kernel plus a rank-two separable
+part, the Green kernel among them, are solved in O(n) through a banded
+embedding (``_helmholtz_solve``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .core import SolverFailure, _panelize
@@ -32,7 +32,6 @@ __all__ = [
     "free_eigenfunction",
     "free_eigenfunction_matrix",
     "fermi_energy",
-    "FermiContourPoint",
     "fermi_contour_point",
     "green_kernel",
     "commutator_kernel",
@@ -103,19 +102,11 @@ def fermi_energy(N: int, L: float) -> float:
     return (math.pi * (N + 0.5) / (2.0 * L)) ** 2
 
 
-@dataclass(frozen=True)
-class FermiContourPoint:
+def fermi_contour_point(nu: float, s: float) -> complex:
     """Point z = (sqrt(nu) + i s)^2 on the parabola separating occupied from
-    unoccupied spectrum, with the parametrization derivative dz/ds."""
-
-    s: float
-    z: complex
-    dz_ds: complex
-
-
-def fermi_contour_point(nu: float, s: float) -> FermiContourPoint:
+    unoccupied spectrum."""
     root = math.sqrt(nu) + 1j * s
-    return FermiContourPoint(s, root * root, 2j * root)
+    return root * root
 
 
 def _sqrt_energy(z) -> complex:
@@ -300,9 +291,7 @@ def squared_resolvent_apply(z, x, Y, L: float):
     # G/2 - C = [u(lo) (v(hi)/sqrt(z) - hi v'(hi)) - lo u'(lo) v(hi)] / (2 sin 2L sqrt(z))
     out = (_semiseparable_apply(us, vs / rz - t * vc, Y) - _semiseparable_apply(t * uc, vs, Y)) / (2.0 * w)
     ds, dc = _delta_factors(rz, L, t)
-    # einsum, not matmul: numpy's BLAS threads, woken between the contour
-    # route's scipy LU calls, made that route four times slower unpinned
-    out += 0.25 * L * (np.outer(ds, np.einsum("i,ij->j", ds, Y)) + np.outer(dc, np.einsum("i,ij->j", dc, Y)))
+    out += 0.25 * L * (np.outer(ds, ds @ Y) + np.outer(dc, dc @ Y))
     result = np.empty_like(out)
     result[order] = out / complex(z)
     return result
@@ -323,31 +312,22 @@ def truncated_resolvent_direct(n: int, z, x, y, L: float):
     return vals.reshape(shape) if shape else complex(vals[0])
 
 
-def _kappa_integrand_factory(zeta: float, M: float, tilde: bool):
-    # both forms use only decaying exponentials, so they stay finite for any v
-    if tilde:
-        def f(v):
-            return (math.exp(-(zeta - M + 0.5) * v) + math.exp(-(zeta + M + 0.5) * v)) / (
-                1.0 + math.exp(-v)
-            )
-    else:
-        def f(v):
-            if v < 1e-300:
-                return 2.0 * M
-            return (
-                math.exp(-(zeta - M + 0.5) * v)
-                * math.expm1(-2.0 * M * v)
-                / math.expm1(-v)
-            )
-    return f
-
-
 def _kappa_integral(zeta: float, M: float, tilde: bool = False) -> float:
-    val, _err = quad(
-        _kappa_integrand_factory(zeta, M, tilde), 0.0, np.inf,
-        epsabs=1e-13, epsrel=1e-12, limit=300,
-    )
-    return val
+    """Laplace integral over v in [0, inf) on graded Gauss panels: the first
+    0.25 / (zeta + M + 1/2) wide, where the fastest exponential varies, then
+    doubling out to 40 / (zeta - M + 1/2), where the slowest has fallen to
+    e^{-40}.  Both integrands use only decaying exponentials, so they stay
+    finite for any v."""
+    slow, fast = zeta - M + 0.5, zeta + M + 0.5
+    edges = [0.0, 0.25 / fast]
+    while edges[-1] < 40.0 / slow:
+        edges.append(2.0 * edges[-1])
+    v, w, _ = _panelize(edges, np.diff(edges))  # one panel per interval
+    if tilde:
+        f = (np.exp(-slow * v) + np.exp(-fast * v)) / (1.0 + np.exp(-v))
+    else:
+        f = np.exp(-slow * v) * np.expm1(-2.0 * M * v) / np.expm1(-v)
+    return float(np.dot(w, f))
 
 
 def kappa_n(N: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Potential, SolverFailure, _panelize, potential_norms, smallness_report
+from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize, potential_norms, smallness_report
 from .free import (
     _green_kernel_solve,
     _helmholtz_solve,
@@ -29,16 +29,15 @@ from .free import (
     green_kernel,
     squared_resolvent_apply,
 )
+from .perturbed import count_below
 from . import metrics as _metrics
 
 __all__ = [
     "NystromOperator",
-    "SignOperator",
     "sign_operator",
     "birman_schwinger",
     "OmegaOperator",
     "omega_operator",
-    "PhiHat",
     "phi_hat",
     "gamma_matrix",
     "contour_anderson",
@@ -71,20 +70,14 @@ class NystromOperator:
         return float(np.linalg.norm(self.symmetrized, 2))
 
 
-@dataclass(frozen=True)
-class SignOperator:
-    """Diagonal unitary J = sign(V) on the support nodes, with sign(0) := +1."""
-
-    diagonal: np.ndarray
-
-
 def _support(V: Potential, grid: Grid):
     mask = np.abs(grid.nodes) <= V.a
     return grid.nodes[mask], grid.weights[mask]
 
 
-def sign_operator(V: Potential, nodes: np.ndarray) -> SignOperator:
-    return SignOperator(np.where(V(nodes) < 0.0, -1.0, 1.0))
+def sign_operator(V: Potential, nodes: np.ndarray) -> np.ndarray:
+    """Diagonal of the unitary J = sign(V) on the nodes, with sign(0) := +1."""
+    return np.where(V(nodes) < 0.0, -1.0, 1.0)
 
 
 def birman_schwinger(z, V: Potential, grid: Grid, L: float | None = None) -> NystromOperator:
@@ -117,7 +110,7 @@ def omega_operator(z, V: Potential, grid: Grid, L: float | None = None,
     indicate a corrupted discretization rather than an unlucky potential.
     """
     bs = birman_schwinger(z, V, grid, L)
-    J = sign_operator(V, bs.nodes).diagonal
+    J = sign_operator(V, bs.nodes)
     system = np.eye(bs.nodes.size, dtype=complex) - bs.matrix * J[None, :]
     try:
         omega = np.linalg.solve(system, np.eye(bs.nodes.size, dtype=complex))
@@ -134,19 +127,12 @@ def omega_operator(z, V: Potential, grid: Grid, L: float | None = None,
     return OmegaOperator(bs.nodes, bs.weights, omega, J, norm)
 
 
-@dataclass(frozen=True)
-class PhiHat:
-    """2x2 reduction of the whole-line comparison operator onto the sine and
-    cosine directions; self-adjoint, and the only input to the matrix route
-    for gamma."""
-
-    matrix: np.ndarray
-
-
-def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
-    """Assemble the 2x2 matrix of weighted inner products
-    (omega_a, J Phi omega_b) where Phi inverts 1 - sqrt(|V|) K sqrt(|V|) J
-    and K has the kernel sin(k|x-y|) / 2k, k = sqrt(nu).
+def phi_hat(nu: float, V: Potential, grid: Grid) -> np.ndarray:
+    """Symmetric 2x2 reduction of the whole-line comparison operator onto
+    the sine and cosine directions, the only input to the matrix route for
+    gamma: the weighted inner products (omega_a, J Phi omega_b), where Phi
+    inverts 1 - sqrt(|V|) K sqrt(|V|) J and K has the kernel sin(k|x-y|) / 2k,
+    k = sqrt(nu).
 
     K = -i e^{ik|x-y|} / 2k + (i/2k) (cos kx cos ky + sin kx sin ky) is solved
     in O(n) by ``free._helmholtz_solve``; the system is real, so the solution
@@ -159,7 +145,7 @@ def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
     x, w = _support(V, grid)
     root = math.sqrt(nu)
     sq = np.sqrt(np.abs(V(x)))
-    wj = w * sign_operator(V, x).diagonal
+    wj = w * sign_operator(V, x)
     sn, cs = np.sin(root * x), np.cos(root * x)
     omega = np.column_stack([sq * sn, sq * cs])
     sols, _ = _helmholtz_solve(root, x, sq, sq * wj, np.column_stack([cs, sn]), (0.5j / root) * np.eye(2), omega)
@@ -169,8 +155,7 @@ def phi_hat(nu: float, V: Potential, grid: Grid) -> PhiHat:
     asym = np.abs(mat - mat.T).max()
     if asym > 1e-8 * max(1.0, np.abs(mat).max()):
         raise SolverFailure(f"lost self-adjointness of the 2x2 reduction: {asym}")
-    mat = 0.5 * (mat + mat.T)
-    return PhiHat(mat)
+    return 0.5 * (mat + mat.T)
 
 
 def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
@@ -178,7 +163,7 @@ def gamma_matrix(nu: float, V: Potential, grid: Grid) -> float:
     gamma = tr[(1 + F^2/4nu)^{-1} F^2] / (4 pi^2 nu) with F the phi_hat
     matrix, summed over the eigenvalues f of the symmetric F as
     sum f^2 / (1 + f^2/4nu): non-negative by construction."""
-    f2 = np.linalg.eigvalsh(phi_hat(nu, V, grid).matrix) ** 2
+    f2 = np.linalg.eigvalsh(phi_hat(nu, V, grid)) ** 2
     return float(np.sum(f2 / (1.0 + f2 / (4.0 * nu)))) / (4.0 * math.pi**2 * nu)
 
 
@@ -198,14 +183,21 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     (wells, a table, a Gaussian; N = 10, 40), 30 times less per doubling.
     The cut is s = 128, or 690 / a past a = 5.4, where the kernels' domain
     ends.
+
+    The parabola encloses the M perturbed levels below nu, so the integral is
+    the Anderson integral only when M = N; otherwise ConfigurationError.
     """
     nu = fermi_energy(N, L)
+    m = count_below(nu, V, L)
+    if m != N:
+        raise ConfigurationError(f"contour route needs M = N, but M = {m} perturbed levels "
+                                 f"lie below nu for N = {N}")
     root = math.sqrt(nu)
     s_cut = min(128.0, 690.0 / V.a)
 
     x, w = _support(V, grid)
     sq = np.sqrt(np.abs(V(x)))
-    wJ = w * sign_operator(V, x).diagonal
+    wJ = w * sign_operator(V, x)
     lam_low = free_eigenvalues(L, N)
     v_mat = sq[:, None] * free_eigenfunction_matrix(N, L, x).T  # (n, N)
 
@@ -217,7 +209,7 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
 
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
-        z = fermi_contour_point(nu, s).z
+        z = fermi_contour_point(nu, s)
         u, solve = _green_kernel_solve(z, x, sq, sq * wJ, L, v_mat)  # Omega sqrt|V| phi_j
         h = sq[:, None] * squared_resolvent_apply(z, x, (sq * wJ)[:, None] * u, L)
         p = solve(h)
@@ -268,7 +260,7 @@ def bounds_audit(
     items: list[AuditItem] = []
 
     for s in s_samples:
-        z = fermi_contour_point(nu, s).z
+        z = fermi_contour_point(nu, s)
         arg = L * (root + 1j * s)
         envelope = 4.0 * math.exp(-2.0 * L * abs(s))
         sin2 = abs(np.sin(arg)) ** 2 if L * abs(s) < 300 else math.inf

@@ -156,14 +156,14 @@ class TestGreenKernel:
         nu = fermi_energy(N, L)
         rng = np.random.default_rng(11)
         for s in (-4.0, -0.5, 0.1, 1.0, 6.0):
-            z = fermi_contour_point(nu, s).z
+            z = fermi_contour_point(nu, s)
             for _ in range(4):
                 x, y = rng.uniform(-L, L, 2)
                 bound = 2.0 * math.exp(-abs(s) * abs(x - y)) / math.sqrt(nu + s * s)
                 assert abs(green_kernel(z, x, y, L)) <= bound * (1 + 1e-9)
 
     def test_large_box_large_s_finite(self):
-        z = fermi_contour_point(math.pi**2, 30.0).z
+        z = fermi_contour_point(math.pi**2, 30.0)
         val = green_kernel(z, 0.3, -0.2, 400.0)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
@@ -181,7 +181,7 @@ class TestCommutatorKernel:
         nu = fermi_energy(N, L)
         rng = np.random.default_rng(5)
         for s in (0.0, 0.3, -1.2, 2.5):
-            z = fermi_contour_point(nu, s).z
+            z = fermi_contour_point(nu, s)
             for _ in range(4):
                 x, y = rng.uniform(-L, L, 2)
                 bound = 2.0 * (abs(x) + abs(y)) * math.exp(-abs(s) * abs(x - y))
@@ -234,7 +234,7 @@ class TestKernelsFromFactors:
         for N in (3, 10, 50):
             nu = fermi_energy(N, L)
             for s in (0.0, 0.5, 5.0, 30.0):
-                z = fermi_contour_point(nu, s).z
+                z = fermi_contour_point(nu, s)
                 for kernel, ref in self.KERNELS:
                     got = kernel(z, x[:, None], x[None, :], L)
                     want = ref(z, x[:, None], x[None, :], L)
@@ -255,7 +255,7 @@ class TestKernelsFromFactors:
         nu = fermi_energy(10, L)
         with np.errstate(over="raise", invalid="raise"):
             for s in (64.0, 128.0, 400.0):
-                z = fermi_contour_point(nu, s).z
+                z = fermi_contour_point(nu, s)
                 for kernel, _ in self.KERNELS:
                     assert np.all(np.isfinite(kernel(z, x[:, None], x[None, :], L)))
                 assert np.all(np.isfinite(squared_resolvent_apply(z, x, Y, L)))
@@ -263,7 +263,7 @@ class TestKernelsFromFactors:
     def test_domain_limit_raises(self):
         # |Im sqrt(z)| * span / 2 = 400 * 2 = 800 >= 700
         L = 5.25
-        z = fermi_contour_point(fermi_energy(10, L), 400.0).z
+        z = fermi_contour_point(fermi_energy(10, L), 400.0)
         x = np.linspace(-2.0, 2.0, 11)
         for kernel in (green_kernel, commutator_kernel):
             with pytest.raises(ValueError, match="domain"):
@@ -290,7 +290,7 @@ class TestSquaredResolvent:
         # sum_{j > J} 1 / (L (lambda_j - |z|)^2)
         #   <= 1 / (3 L c^2 J^3 (1 - |z| / lambda_{J+1})^2)
         L, J = 5.25, 20_000
-        z = fermi_contour_point(fermi_energy(10, L), s).z
+        z = fermi_contour_point(fermi_energy(10, L), s)
         x = np.linspace(-1.0, 1.0, 41)
         lam = free_eigenvalues(L, J)
         phi = free_eigenfunction_matrix(J, L, x)
@@ -309,7 +309,7 @@ class TestSquaredResolvent:
         rng = np.random.default_rng(int(s) + 1)
         x = rng.permutation(x)  # the apply sorts its points itself
         Y = rng.normal(size=(x.size, 7)) + 1j * rng.normal(size=(x.size, 7))
-        z = fermi_contour_point(fermi_energy(10, L), s).z
+        z = fermi_contour_point(fermi_energy(10, L), s)
         dense = _squared_resolvent_kernel(z, x[:, None], x[None, :], L) @ Y
         got = squared_resolvent_apply(z, x, Y, L)
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()

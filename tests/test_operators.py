@@ -5,6 +5,7 @@ import pytest
 
 from orthocat import operators
 from orthocat.core import (
+    ConfigurationError,
     SolverFailure,
     build_grid,
     fermi_grid,
@@ -56,7 +57,7 @@ def _contour_system(V, N=10):
     L = (N + 0.5) / 2.0
     nu = fermi_energy(N, L)
     x, w = _support(V, grid_for(L, nu=nu, a=V.a, npw=8))
-    return L, nu, x, w, np.sqrt(np.abs(V(x))), sign_operator(V, x).diagonal
+    return L, nu, x, w, np.sqrt(np.abs(V(x))), sign_operator(V, x)
 
 
 class TestBirmanSchwinger:
@@ -73,13 +74,13 @@ class TestBirmanSchwinger:
         grid = grid_for(L)
         l1 = potential_norms(well_attractive).l1
         for s in (0.0, 0.3, 1.0, 5.0):
-            z = fermi_contour_point(nu, s).z
+            z = fermi_contour_point(nu, s)
             norm = birman_schwinger(z, well_attractive, grid, L).norm()
             assert norm <= 4.0 * l1 / math.sqrt(nu + s * s)
 
     def test_nystrom_self_convergence(self, well_attractive):
         L = 5.25
-        z = fermi_contour_point(fermi_energy(10, L), 0.5).z
+        z = fermi_contour_point(fermi_energy(10, L), 0.5)
         norms = []
         for npw in (16, 32):
             grid = grid_for(L, npw=npw)
@@ -126,7 +127,7 @@ class TestOmegaOperator:
         rep = smallness_report(well_weak, nu)
         assert rep.q_omega < 1.0
         for s in (0.0, 1.0, 4.0):
-            om = omega_operator(fermi_contour_point(nu, s).z, well_weak, grid, L, nu=nu)
+            om = omega_operator(fermi_contour_point(nu, s), well_weak, grid, L, nu=nu)
             assert om.norm <= rep.c_omega * (1 + 1e-8)
 
     def test_krein_formula_against_direct_solve(self, well_attractive):
@@ -149,7 +150,7 @@ class TestOmegaOperator:
 
         bs = birman_schwinger(z, V, grid, L)
         xs, ws = bs.nodes, bs.weights
-        J = sign_operator(V, xs).diagonal
+        J = sign_operator(V, xs)
         sq = np.sqrt(np.abs(V(xs)))
         mask = np.abs(x_all) <= V.a
         system = np.eye(xs.size, dtype=complex) - bs.matrix * J[None, :]
@@ -224,7 +225,7 @@ class TestOmegaOperator:
     def test_sign_operator_square(self, table_mixed):
         grid = grid_for(2.0, a=1.0)
         xs = grid.nodes[np.abs(grid.nodes) <= 1.0]
-        J = sign_operator(table_mixed, xs).diagonal
+        J = sign_operator(table_mixed, xs)
         assert np.all(J * J == 1.0)
 
 
@@ -232,12 +233,12 @@ class TestPhiHat:
     def test_zero_potential(self):
         V = square_well(0.0, 1.0)
         grid = grid_for(2.0)
-        assert np.max(np.abs(phi_hat(NU, V, grid).matrix)) == 0.0
+        assert np.max(np.abs(phi_hat(NU, V, grid))) == 0.0
 
     def test_self_adjoint(self, well_attractive, table_mixed):
         grid = grid_for(5.25)
         for V in (well_attractive, table_mixed):
-            mat = phi_hat(NU, V, grid).matrix
+            mat = phi_hat(NU, V, grid)
             assert np.max(np.abs(mat - mat.T)) < 1e-8
 
     def test_entry_bound(self, well_weak):
@@ -245,18 +246,18 @@ class TestPhiHat:
         rep = smallness_report(well_weak, NU)
         l1 = potential_norms(well_weak).l1
         c_phi = 1.0 / (1.0 - rep.q_phi)
-        mat = phi_hat(NU, well_weak, grid).matrix
+        mat = phi_hat(NU, well_weak, grid)
         assert np.max(np.abs(mat)) <= l1 * c_phi
 
     def test_box_size_independent(self, well_attractive):
         vals = []
         for L in (2.0, 5.25):
             grid = grid_for(L)
-            vals.append(phi_hat(NU, well_attractive, grid).matrix)
+            vals.append(phi_hat(NU, well_attractive, grid))
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-10
 
     def test_entries_stable_under_density_doubling(self, well_attractive):
-        mats = [phi_hat(NU, well_attractive, grid_for(5.25, npw=npw)).matrix for npw in (16, 32)]
+        mats = [phi_hat(NU, well_attractive, grid_for(5.25, npw=npw)) for npw in (16, 32)]
         assert np.max(np.abs(mats[0] - mats[1])) < 1e-6
 
 
@@ -301,7 +302,7 @@ class TestGammaMatrix:
         assert abs(ratios[2] - ratios[1]) < abs(ratios[1] - ratios[0])
 
     def test_positive_definite_denominator(self, well_repulsive):
-        mat = phi_hat(NU, well_repulsive, grid_for(5.25)).matrix
+        mat = phi_hat(NU, well_repulsive, grid_for(5.25))
         eigs = np.linalg.eigvalsh(np.eye(2) + mat @ mat / (4.0 * NU))
         assert np.all(eigs >= 1.0 - 1e-12)
 
@@ -335,6 +336,12 @@ class TestContourAnderson:
         ci = contour_anderson(N, V, L, grid)
         assert abs(ci / res.anderson_integral - 1.0) <= 1e-4
 
+    def test_refuses_more_levels_than_particles(self):
+        # square_well(-20, 1) binds two extra levels below nu: M = 12, N = 10
+        V, N, L = square_well(-20.0, 1.0), 10, 5.25
+        with pytest.raises(ConfigurationError, match="M = 12.*N = 10"):
+            contour_anderson(N, V, L, grid_for(L, nu=fermi_energy(N, L), npw=8))
+
     def test_integrand_envelope_decay(self, well_weak):
         # the envelope exp(-2 L s) V_L(2s) / sqrt(nu + s^2) controls the
         # delta-term part; check the full integrand at least decays with s
@@ -346,14 +353,14 @@ class TestContourAnderson:
         grid = grid_for(L)
         x, w = _support(well_weak, grid)
         sq = np.sqrt(np.abs(well_weak(x)))
-        J = sign_operator(well_weak, x).diagonal
+        J = sign_operator(well_weak, x)
         lam_low = free_eigenvalues(L, N)
         v_mat = sq[:, None] * free_eigenfunction_matrix(N, L, x).T
         lam_all = free_eigenvalues(L, 400)
         phi_v = sq[None, :] * free_eigenfunction_matrix(400, L, x)
 
         def integrand(s):
-            z = fermi_contour_point(nu, s).z
+            z = fermi_contour_point(nu, s)
             kern = green_kernel(z, x[:, None], x[None, :], L)
             k_v = sq[:, None] * kern * sq[None, :]
             system = np.eye(x.size, dtype=complex) - k_v * (w * J)[None, :]
@@ -380,7 +387,7 @@ class TestStructuredSolve:
         rng = np.random.default_rng(7)
         B = rng.standard_normal((x.size, 3)) + 1j * rng.standard_normal((x.size, 3))
         for s in (0.0, 1.0, 10.0, 128.0):
-            z = fermi_contour_point(nu, s).z
+            z = fermi_contour_point(nu, s)
             dense = np.eye(x.size) - sq[:, None] * green_kernel(z, x[:, None], x[None, :], L) * d[None, :]
             ref = np.linalg.solve(dense, B)
             X, solve = _green_kernel_solve(z, x, sq, d, L, B)
@@ -395,13 +402,13 @@ class TestStructuredSolve:
         x, w = _support(V, grid)
         k = math.sqrt(NU)
         sq = np.sqrt(np.abs(V(x)))
-        wj = w * sign_operator(V, x).diagonal
+        wj = w * sign_operator(V, x)
         kern = np.sin(k * np.abs(x[:, None] - x[None, :])) / (2.0 * k)
         omega = np.column_stack([sq * np.sin(k * x), sq * np.cos(k * x)])
         sols = np.linalg.solve(np.eye(x.size) - sq[:, None] * kern * (sq * wj)[None, :], omega)
         ref = omega.T @ (wj[:, None] * sols)
         ref = 0.5 * (ref + ref.T)
-        got = phi_hat(NU, V, grid).matrix
+        got = phi_hat(NU, V, grid)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_dirichlet_spectrum_raises(self, well_attractive):

@@ -137,21 +137,32 @@ class TestScatteringCoefficients:
         with pytest.raises(ValueError):
             scattering_coefficients(well_attractive, 0.0)
 
-    @pytest.mark.parametrize("v0", [200.0, 500.0, 2000.0])
-    def test_lost_barrier_solution_raises(self, v0):
-        # the exact |t| is 9e-13, 3e-20 and 5e-40; the matching returns
-        # 7e-5, 1.1e3 and 5e21
-        with pytest.raises(SolverFailure, match="unitarity defect"):
-            scattering_coefficients(square_well(v0, 1.0), math.pi)
+    @pytest.mark.parametrize("v0", [100.0, 200.0, 500.0, 2000.0, 1e5])
+    def test_barrier_matches_closed_form(self, v0):
+        # the exact |t| falls from 7e-9 to 9e-277 while |M| grows to 1e274;
+        # t is 2 e^{-2ika} over a sum of M's entries, so no digit cancels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sd = scattering_coefficients(square_well(v0, 1.0), math.pi)
+        t_exact = closed_form_transmission(v0, 1.0, math.pi)
+        assert abs(sd.t - t_exact) <= 1e-10 * abs(t_exact)
+        for r in (sd.r1, sd.r2):
+            assert abs(abs(sd.t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("v0", [1e5, 3e5])
+    @pytest.mark.parametrize("v0", [3e5])
     def test_overflowing_barrier_raises_without_warnings(self, v0):
-        # the matching overflows at 1e5 and the integration at 3e5; neither
-        # may leak a floating-point warning
+        # the integration overflows at 3e5; no floating-point warning may leak
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverFailure):
                 scattering_coefficients(square_well(v0, 1.0), math.pi)
+
+    def test_unitarity_defect_raises(self, monkeypatch):
+        # det M = 2 breaks the closed form's premise: |t|^2 + |r|^2 = 5/9
+        monkeypatch.setattr(scattering, "_transfer_matrix",
+                            lambda V, k: np.array([[2.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(SolverFailure, match="unitarity defect"):
+            scattering_coefficients(square_well(1.0, 1.0), math.pi)
 
     def test_non_finite_transfer_matrix_raises(self, monkeypatch):
         monkeypatch.setattr(scattering, "_transfer_matrix",
@@ -165,8 +176,10 @@ class TestScatteringCoefficients:
         assert sd.unitarity_defect <= 1e-8
         assert abs(sd.t - closed_form_transmission(50.0, 1.0, math.pi)) <= 1e-10
 
-    def test_gamma_failure_exits_1(self, capsys):
-        code = cli_main(["gamma", "--potential", "square_well", "--v0", "500", "--a", "1",
+    def test_gamma_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(scattering, "_transfer_matrix",
+                            lambda V, k: np.array([[2.0, 0.0], [0.0, 1.0]]))
+        code = cli_main(["gamma", "--potential", "square_well", "--v0", "1", "--a", "1",
                          "--nu", str(NU)])
         assert "unitarity defect" in capsys.readouterr().err
         assert code == 1

@@ -1,0 +1,26 @@
+"""Where the package's heavy dependencies enter, read from the sources with ast."""
+
+import ast
+from pathlib import Path
+
+import orthocat
+
+SRC = Path(orthocat.__file__).parent
+
+
+def _imports(path):
+    """Dotted names a module imports: ``import a.b`` gives a.b,
+    ``from a import b`` gives a and a.b; relative imports are skipped."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_scipy_integrate_has_one_importer():
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+                          for name in _imports(path)))
+    assert users == ["scattering.py"]

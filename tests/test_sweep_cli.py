@@ -198,6 +198,17 @@ class TestCli:
         assert "anderson_integral" in out
         assert "defect_norm" in out
 
+    def test_anderson_contour_refuses_extra_levels_exits_2(self, capsys):
+        code = cli_main([
+            "anderson", "--potential", "square_well", "--v0", "-20", "--a", "1",
+            "--N", "10", "--rho", "1", "--contour", "--nodes-per-wavelength", "8",
+        ])
+        captured = capsys.readouterr()
+        assert "M = count_below(nu) = 12" in captured.out
+        assert "contour I" not in captured.out
+        assert "M = 12" in captured.err and "N = 10" in captured.err
+        assert code == 2
+
     def test_audit_subcommand(self, capsys):
         code = cli_main([
             "audit", "--potential", "square_well", "--v0", "0.5", "--a", "1",

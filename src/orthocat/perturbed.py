@@ -2,26 +2,34 @@
 Magnus propagator, plus the eigenvalue-counting bounds.
 
 The modified Pruefer phase theta is defined through (psi'/sigma, psi) =
-r (cos, sin) with sigma = sqrt(mu) for mu > 0 and sigma = 1 otherwise.  The
-eigenvalue condition is theta(L, mu_k) = k pi, and theta(L, .) is strictly
-increasing.  Zero counting, and hence the root condition, is independent of
-the sigma convention.
+r (cos, sin) with sigma = sqrt(mu) for mu > 0 and sigma = 1 otherwise.
+Zero counting, and hence the root condition, is independent of the sigma
+convention.
 
-Outside the support [-a, a] of V the phase is closed form: it advances at
-rate sqrt(mu) for mu > 0, and for mu <= 0 (attractive wells push the lowest
-levels below zero once L is large) by the exact hyperbolic update, which
-never overflows because only tanh factors appear.  Across the support,
-(psi, psi') is advanced for many energies at once by the fourth-order Magnus
-step with two Gauss-Legendre points (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 2009), whose exponential of a traceless 2x2 matrix is closed form; the
-step is exact where V is constant.  Steps break at -a, 0, a and every knot of
-V, and are short enough that the phase moves by less than pi per step, so it
-is unwrapped step by step from atan2(sigma psi, psi').
+Outside the support [-a, a] of V every state is the V = 0 solution that
+vanishes at its wall, sin(sqrt(mu) u) for mu > 0, u at mu = 0, and
+e^{-kappa d} sinh(kappa u) for mu = -kappa^2 < 0 (attractive wells push the
+lowest levels below zero once L is large), where u is the distance from the
+wall and d = L - a; only decaying exponentials appear, so nothing overflows.
+The shooting solution therefore enters the support at -a with the wall
+solution's phase phi_wall(d), and the root function is the matching phase
+theta_left(a) + phi_wall(d), with the same wall phase at the right end.  For
+mu > 0 this is theta(L, mu); for mu <= 0 it is the phase matched at a, which
+stays smooth where theta(L, .) would jump by pi across an exponentially thin
+window.  Either way it is strictly increasing and equals k pi at mu_k.
+
+Across the support, (psi, psi') is advanced for many energies at once by the
+fourth-order Magnus step with two Gauss-Legendre points (Blanes, Casas, Oteo
+& Ros, Phys. Rep. 470, 2009), whose exponential of a traceless 2x2 matrix is
+closed form; the step is exact where V is constant.  Steps break at -a, 0, a
+and every knot of V, and are short enough that the phase moves by less than
+pi per step, so it is unwrapped step by step from atan2(sigma psi, psi').
 
 All eigenvalues of a row come from one vectorized Illinois iteration inside
 the min-max brackets, and all eigenfunctions from one more pass that also
-steps through the support nodes of the grid and samples psi there.  Failures
-raise ``core.SolverFailure``.
+steps through the support nodes of the grid and samples psi there; the right
+tail is matched to the wall solution at a.  Failures raise
+``core.SolverFailure``.
 """
 
 from __future__ import annotations
@@ -67,27 +75,29 @@ class AmbiguousEnergyError(ValueError):
     """The probe energy sits within tolerance of an eigenvalue."""
 
 
-def _phase_free_advance(theta, mu, sigma, dx: float):
-    """Exact phase update over an interval of length dx where V = 0, for
-    arrays of phases, energies and frequency scales.
+def _wall(mus, d: float, u=()):
+    """V = 0 solutions that vanish at a wall, sampled at distances u >= 0
+    from it (rows follow the energies ``mus``), and their values and slopes
+    at distance d, as an array of shape (2, mus.size).
 
-    For mu > 0 with sigma = sqrt(mu) the update is linear.  Otherwise the
-    hyperbolic solution is propagated in tanh form and the branch is fixed by
-    the facts that the phase never crosses a multiple of pi downward and the
-    solution has at most one zero on a force-free interval.
+    mu > 0:  sin(sqrt(mu) u).
+    mu = 0:  u.
+    mu < 0:  e^{-kappa d} sinh(kappa u), kappa = sqrt(-mu), written with
+             decaying exponentials only, so sizes at u = d are of order one.
+    Each regime is evaluated on its own rows only.
     """
-    if dx <= 0.0:
-        return theta
-    kap2 = np.maximum(-mu, 0.0)
-    kap = np.sqrt(kap2)
-    t_over_k = np.where(kap2 * dx * dx < 1e-16, dx,
-                        np.tanh(kap * dx) / np.where(kap > 0.0, kap, 1.0))
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    num = sigma * (sin_t + sigma * cos_t * t_over_k)
-    den = kap2 * t_over_k * sin_t + sigma * cos_t
-    base = np.floor(theta / math.pi) * math.pi
-    hyperbolic = base + (np.arctan2(num, den) - base) % _TWO_PI
-    return np.where(mu > 0.0, theta + np.sqrt(np.maximum(mu, 0.0)) * dx, hyperbolic)
+    u = np.asarray(u, dtype=float)
+    w, end = np.empty((mus.size, u.size)), np.empty((2, mus.size))
+    pos, neg = mus > 0.0, mus < 0.0
+    zero = ~(pos | neg)
+    rm = np.sqrt(mus[pos])
+    w[pos] = np.sin(rm[:, None] * u)
+    end[:, pos] = np.sin(rm * d), rm * np.cos(rm * d)
+    kap = np.sqrt(-mus[neg])
+    w[neg] = -0.5 * np.exp(kap[:, None] * (u - d)) * np.expm1(-2.0 * kap[:, None] * u)
+    end[:, neg] = -0.5 * np.expm1(-2.0 * kap * d), 0.5 * kap * (1.0 + np.exp(-2.0 * kap * d))
+    w[zero], end[0, zero], end[1, zero] = u, d, 1.0
+    return w, end
 
 
 def _mesh(V: Potential, a: float, emin: float, emax: float, tol: float, extra=None):
@@ -149,24 +159,30 @@ def _magnus(points, V: Potential, mus, u, p):
 
 
 def _phases(mus, V: Potential, L: float, points):
-    """theta(L, mu) for every energy in ``mus``, stepping through ``points``
-    across the support.  Only the running state and phase are kept."""
+    """theta_left(a, mu) + phi_wall(L - a, mu) for every energy in ``mus``,
+    stepping through ``points`` across the support; it equals k pi exactly
+    at mu_k.  Only the running state and phase are kept."""
     a = points[-1]
+    d = L - a
     sigma = np.where(mus > 0.0, np.sqrt(np.abs(mus)), 1.0)
-    theta = _phase_free_advance(np.zeros_like(mus), mus, sigma, L - a)
-    last = theta
-    for us, ps in _magnus(points, V, mus, np.sin(theta), sigma * np.cos(theta)):
+    w, dw = _wall(mus, d)[1]
+    wall = np.where(mus > 0.0, sigma * d, np.arctan2(w, dw))
+    theta = last = wall
+    for us, ps in _magnus(points, V, mus, w, dw):
         angles = np.arctan2(sigma * us, ps)
         turns = np.diff(angles, axis=0, prepend=last[None])
         theta = theta + np.sum(turns - _TWO_PI * np.round(turns / _TWO_PI), axis=0)
         last = angles[-1]
     if not np.all(np.isfinite(theta)):
         raise SolverFailure("Magnus propagation across the support overflowed")
-    return _phase_free_advance(theta, mus, sigma, L - a)
+    return theta + wall
 
 
 def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10) -> float:
-    """Phase theta(L, mu) of the shooting solution with theta(-L, mu) = 0.
+    """Root function of the eigenvalue condition: theta(L, mu) of the shooting
+    solution with theta(-L, mu) = 0 for mu > 0, and the phase
+    theta_left(a) + phi_wall(L - a) matched at the support edge for mu <= 0.
+    It is strictly increasing in mu and equals k pi at mu_k.
 
     ``tol`` sets the step width where V is not constant."""
     mu = float(mu)
@@ -247,7 +263,10 @@ class PerturbedEigenpair:
     mu: float
     psi: np.ndarray
     boundary_sign: int        # sign of psi'(-L)
-    endpoint_residual: float  # |psi(L)| after normalization; eigenvalue error proxy
+    # Normalized mismatch at the support edge between psi and the wall
+    # solution of the right end (|psi(L)| of the continued solution for
+    # mu > 0); an eigenvalue error proxy for bound states too.
+    endpoint_residual: float
 
 
 def _free_boundary_sign(k: int) -> int:
@@ -259,74 +278,43 @@ def _free_boundary_sign(k: int) -> int:
     return 1 if k % 4 in (0, 1) else -1
 
 
-def _left_tail(x, mu, L, a):
-    """Shooting solution on [-L, -a], scaled so its size at -a is order one.
-
-    mu > 0:  sin(sqrt(mu)(x+L)), value/derivative (sin, sqrt(mu) cos) at -a.
-    mu <= 0: exp(-kappa(L-a)) sinh(kappa(x+L)) written with decaying
-             exponentials only.
-    """
-    if mu > 1e-14:
-        rm = math.sqrt(mu)
-        return np.sin(rm * (x + L)), math.sin(rm * (L - a)), rm * math.cos(rm * (L - a))
-    if mu < -1e-14:
-        kap = math.sqrt(-mu)
-        vals = 0.5 * (np.exp(kap * (x + a)) - np.exp(-kap * (x + 2.0 * L - a)))
-        e2 = math.exp(-2.0 * kap * (L - a))
-        return vals, 0.5 * (1.0 - e2), 0.5 * kap * (1.0 + e2)
-    return x + L, L - a, 1.0
-
-
-def _right_tail(x, mu, L, a, psi_a, dpsi_a):
-    """Continuation on [a, L]; for mu <= 0 the Dirichlet end is enforced
-    through the decaying sinh ratio so the growing branch cannot amplify
-    eigenvalue roundoff across a long box."""
-    if mu > 1e-14:
-        rm = math.sqrt(mu)
-        return psi_a * np.cos(rm * (x - a)) + dpsi_a * np.sin(rm * (x - a)) / rm
-    if mu < -1e-14:
-        kap = math.sqrt(-mu)
-        num = -np.expm1(-2.0 * kap * (L - x))
-        den = -math.expm1(-2.0 * kap * (L - a))
-        return psi_a * np.exp(-kap * (x - a)) * num / den
-    return psi_a * (L - x) / (L - a)
-
-
 def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
     """Normalized eigenfunction samples on the grid for accepted eigenvalues,
     as rows of an array, and their endpoint residuals.
 
-    The solution is analytic outside the support of V and propagated through
-    it in one pass, whose step points include the grid's support nodes; the
-    sign of psi'(-L) copies the free eigenfunction's, so the family deforms
-    continuously from the V = 0 basis.
+    Left of the support psi is the wall solution in x + L; it is propagated
+    through the support in one pass, whose step points include the grid's
+    support nodes; right of it psi is beta times the wall solution in L - x,
+    with beta the least-squares match of (psi, psi'/sqrt(s2)) at a (s2 = mu
+    for mu > 0, else 1).  The residual is the normalized mismatch left over
+    at a; for mu > 0 it equals |psi(L)| of the solution continued from a.
+    The sign of psi'(-L) copies the free eigenfunction's, so the family
+    deforms continuously from the V = 0 basis.
     """
     L = grid.half_length
     a = min(V.a, L)
+    d = L - a
     x = grid.nodes
     left, right = x < -a, x > a
     mid = ~(left | right)
     psi = np.empty((mus.size, x.size))
-    u, p = np.empty((2, mus.size))
-    for i, mu in enumerate(mus):
-        psi[i, left], u[i], p[i] = _left_tail(x[left], mu, L, a)
+    psi[:, left], (u, p) = _wall(mus, d, x[left] + L)
     points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x[mid])
     states = [u[None]]
     for us, ps in _magnus(points, V, mus, u, p):
         states.append(us)
     states = np.concatenate(states)
-    psi[:, mid] = states[np.searchsorted(points, x[mid])].T
     psi_a, dpsi_a = states[-1], ps[-1]
+    s2 = np.where(mus > 0.0, mus, 1.0)
+    beta = (psi_a * u - dpsi_a * p / s2) / (u * u + p * p / s2)
+    mismatch = np.abs(psi_a * p + dpsi_a * u) / np.sqrt(s2 * u * u + p * p)
 
-    residuals = np.empty(mus.size)
-    for i, (k, mu) in enumerate(zip(ks, mus)):
-        row = psi[i]
-        row[right] = _right_tail(x[right], mu, L, a, psi_a[i], dpsi_a[i])
-        end_val = float(_right_tail(np.asarray([L]), mu, L, a, psi_a[i], dpsi_a[i])[0])
-        norm = math.sqrt(float(grid.weights @ row**2))
-        row *= _free_boundary_sign(int(k)) / norm
-        residuals[i] = abs(end_val) / norm
-    return psi, residuals
+    psi[:, mid] = states[np.searchsorted(points, x[mid])].T
+    psi[:, right] = beta[:, None] * _wall(mus, d, L - x[right])[0]
+    norms = np.sqrt(np.einsum("ij,ij,j->i", psi, psi, grid.weights))
+    signs = np.array([_free_boundary_sign(int(k)) for k in ks])
+    psi *= (signs / norms)[:, None]
+    return psi, mismatch / norms
 
 
 def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid) -> PerturbedEigenpair:
@@ -348,7 +336,8 @@ def eigenpairs(n: int, V: Potential, L: float, grid: Grid, tol: float = 1e-10):
 
 
 def count_below(E: float, V: Potential, L: float) -> int:
-    """Number of eigenvalues below E, read off as floor(theta(L, E)/pi)."""
+    """Number of eigenvalues below E, read off as floor(theta/pi) of the
+    root function ``prufer_phase`` (the matching phase for E <= 0)."""
     theta = prufer_phase(E, V, L)
     q = theta / math.pi
     if abs(q - round(q)) * math.pi < _PHASE_TOL:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -50,8 +49,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "N,L,I,lnD,defect_norm,M,status"
-
-_WORKERS_ENV = "ORTHOCAT_WORKERS"
 
 # The keys a config file may set, by section.
 CONFIG_KEYS = {"potential": ("family", "v0", "a", "sigma", "abscissae", "values"),
@@ -216,22 +213,11 @@ def _safe_row(config: SweepConfig, n: int) -> SweepRow:
         return SweepRow(n, SystemConfig(config.rho, n).L, math.nan, math.nan, math.nan, -1, "failed")
 
 
-def _worker_count(config: SweepConfig) -> int:
-    """The worker count: ORTHOCAT_WORKERS if set, else the config's."""
-    raw = os.environ.get(_WORKERS_ENV)
-    if raw is None:
-        return config.workers
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigurationError(f"{_WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute the sweep, fit the Anderson integral against log N over the
     configured upper window, and attach the three analytic gamma values."""
-    workers = _worker_count(config)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = {n: pool.submit(_safe_row, config, n) for n in config.n_list}
             rows = [futures[n].result() for n in config.n_list]
     else:

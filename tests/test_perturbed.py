@@ -6,8 +6,11 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from orthocat.core import gaussian_truncated, potential_norms, square_well, table_potential
+from orthocat import perturbed
+from orthocat.core import (SystemConfig, fermi_grid, gaussian_truncated, potential_norms,
+                           square_well, table_potential)
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
+from orthocat.metrics import anderson_result
 from orthocat.perturbed import (
     AmbiguousEnergyError,
     bargmann_upper_bound,
@@ -127,6 +130,96 @@ class TestSquareWellOracle:
         assert signs == [(-1) ** k for k in range(50)]
         for k, (mu, ref) in enumerate(zip(mus, oracle), start=1):
             assert abs(mu - float(ref)) <= 1e-10 * abs(float(ref)), (k, mu, ref)
+
+
+def _piece(e, h, u, p):
+    """State (u, u') after length h of -u'' = e u from (u, p), and the
+    integral of u^2 over the piece, in closed form in mpmath.  With
+    c = cos(kh), s = sin(kh)/k and k = sqrt(e) every expression is even in
+    k, so an imaginary k (e < 0) gives the hyperbolic forms."""
+    k = mpmath.sqrt(e)
+    c, s = mpmath.cos(k * h), mpmath.sin(k * h) / k
+    square = u * u * (h + c * s) / 2 + u * p * s * s + p * p * (h - c * s) / (2 * e)
+    return mpmath.re(u * c + p * s), mpmath.re(p * c - e * s * u), mpmath.re(square)
+
+
+def _well_overlap_oracle(v0, N):
+    """I_N = N - |A|_F^2 and ln D_N = ln det(A)^2 for square_well(v0, 1) at
+    unit density, in mpmath at 30 digits.
+
+    The roots of ``_well_endpoint`` start from the solver's eigenvalues, and
+    the sign of u(L) between consecutive roots proves that none is skipped.
+    With the shooting solution u (u(-L) = 0, u'(-L) = 1) and the unnormalized
+    free sin(q_j (x + L)) of norm^2 L, the Green identity gives
+    A_jk = v0 (phi_j, psi_k)_[-a,a] / (mu_k - lambda_j), and on [-a, a]
+    (phi_j, u) = [phi_j' u - phi_j u']_-a^a / (mu_k - v0 - lambda_j).  The
+    norm of u is closed form piece by piece; the right piece mirrors the left
+    since the well is even.  Signs of A drop out of I and ln D."""
+    L, a = (N + 0.5) / 2.0, 1.0
+    mus = perturbed_eigenvalues(range(1, N + 1), square_well(v0, a), L, tol=1e-12)
+    with mpmath.workdps(30):
+        v0, L, a = mpmath.mpf(v0), mpmath.mpf(L), mpmath.mpf(a)
+        roots = []
+        for mu in mus:
+            d = 1e-9 * max(1.0, abs(mu))
+            roots.append(mpmath.findroot(lambda m: _well_endpoint(m, v0, a, L),
+                                         (mpmath.mpf(mu - d), mpmath.mpf(mu + d))))
+        probes = [roots[0] - 1] + [(x + y) / 2 for x, y in zip(roots, roots[1:])]
+        signs = [mpmath.sign(_well_endpoint(m, v0, a, L)) for m in probes]
+        assert signs == [(-1) ** k for k in range(N)]
+        A = mpmath.matrix(N, N)
+        for k, mu in enumerate(roots):
+            u_lo, p_lo, left = _piece(mu, L - a, mpmath.mpf(0), mpmath.mpf(1))
+            u_hi, p_hi, middle = _piece(mu - v0, 2 * a, u_lo, p_lo)
+            norm = mpmath.sqrt(L * (2 * left + middle))
+            for j in range(N):
+                q = (j + 1) * mpmath.pi / (2 * L)
+                green = ((q * mpmath.cos(q * (a + L)) * u_hi - mpmath.sin(q * (a + L)) * p_hi)
+                         - (q * mpmath.cos(q * (L - a)) * u_lo - mpmath.sin(q * (L - a)) * p_lo))
+                A[j, k] = v0 * green / ((mu - v0 - q * q) * (mu - q * q) * norm)
+        return float(N - mpmath.mnorm(A, "f") ** 2), float(mpmath.log(mpmath.det(A) ** 2))
+
+
+class TestSquareWellOverlapOracle:
+    @pytest.mark.parametrize("v0, N", [(-0.5, 10), (-0.5, 25), (0.5, 10), (0.5, 25),
+                                       (-3.0, 10), (-3.0, 25), (20.0, 10), (-20.0, 10)])
+    def test_anderson_integral_and_log_d_match_oracle(self, v0, N):
+        I_ref, log_d_ref = _well_overlap_oracle(v0, N)
+        system = SystemConfig(1.0, N)
+        V = square_well(v0, 1.0)
+        res = anderson_result(N, V, system.L, fermi_grid(V, system.L, system.nu))
+        for got, ref in ((res.anderson_integral, I_ref), (res.log_transition, log_d_ref)):
+            assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
+            assert abs(got - ref) <= 1e-12, (got, ref)
+
+
+BOUND_STATE_POTENTIALS = pytest.mark.parametrize(
+    "V", [square_well(-0.5, 1.0), gaussian_truncated(-0.5, 0.5, 1.5)], ids=["well", "gauss"])
+
+
+class TestWallMatching:
+    """Bound states in a long box, where theta(L, .) would jump by pi across
+    an exponentially thin window around the root."""
+
+    L = 100.25
+
+    @BOUND_STATE_POTENTIALS
+    def test_bound_state_root_takes_few_phase_passes(self, V, monkeypatch):
+        calls = []
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases",
+                            lambda *args: calls.append(1) or phases(*args))
+        mu = perturbed_eigenvalue(1, V, self.L)
+        assert mu < 0.0
+        assert len(calls) <= 20
+
+    @BOUND_STATE_POTENTIALS
+    def test_bound_state_residual_measures_eigenvalue_error(self, V):
+        grid = fermi_grid(V, self.L, math.pi**2)
+        mu = perturbed_eigenvalue(1, V, self.L)
+        assert perturbed_eigenfunction(1, mu, V, grid).endpoint_residual < 1e-12
+        off = perturbed_eigenfunction(1, mu * (1 + 1e-8), V, grid).endpoint_residual
+        assert off > 1e-10
 
 
 class TestBatchConsistency:

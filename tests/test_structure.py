@@ -1,4 +1,5 @@
-"""Where the package's heavy dependencies enter, read from the sources with ast."""
+"""Where the package's heavy dependencies and settings enter, read from the
+sources with ast."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,21 @@ def test_scipy_integrate_has_one_importer():
                    if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
                           for name in _imports(path)))
     assert users == ["scattering.py"]
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv")
+
+
+def _reads_environment(path):
+    """Whether a module names os.environ, os.environb or os.getenv, by
+    attribute or by ``from os import``."""
+    if any(name in {f"os.{attr}" for attr in _ENVIRONMENT} for name in _imports(path)):
+        return True
+    return any(isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+               and isinstance(node.value, ast.Name) and node.value.id == "os"
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a config key or a command-line flag
+    assert sorted(path.name for path in SRC.glob("*.py") if _reads_environment(path)) == []

@@ -138,14 +138,6 @@ class TestRunSweep:
         assert abs(result.gamma_gkm - result.gamma_scattering) < 1e-10
         assert abs(result.gamma_matrix - result.gamma_scattering) < 1e-4
 
-    def test_worker_env_override(self, tmp_path, monkeypatch):
-        cfg = make_config(tmp_path, workers=1)
-        monkeypatch.setenv("ORTHOCAT_WORKERS", "2")
-        write_csv(run_sweep(cfg), str(tmp_path / "env.csv"))
-        monkeypatch.delenv("ORTHOCAT_WORKERS")
-        write_csv(run_sweep(cfg), str(tmp_path / "plain.csv"))
-        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-
     def test_failed_row_continues_sweep(self, tmp_path):
         # N = 1 gives a box smaller than the support, so that row fails while
         # the rest of the sweep and the fit proceed
@@ -275,17 +267,6 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
-    def test_non_integer_worker_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "s.toml"
-        cfg_path.write_text(
-            "[potential]\nfamily = square_well\nv0 = -0.5\na = 1.0\n\n"
-            "[sweep]\nrho = 1.0\nn_list = 5,8,12\n"
-        )
-        monkeypatch.setenv("ORTHOCAT_WORKERS", "abc")
-        code = cli_main(["sweep", "--config", str(cfg_path)])
-        assert "ORTHOCAT_WORKERS" in capsys.readouterr().err
-        assert code == 2
-
     def test_bad_potential_family_exits_2(self, capsys):
         code = cli_main([
             "anderson", "--potential", "square_well", "--N", "5", "--rho", "1",
@@ -341,6 +322,18 @@ class TestSettings:
         code = cli_main(command + ["--rho", rho, "--potential", "square_well",
                                    "--v0", "0.1", "--a", "1"])
         assert "density must be positive" in capsys.readouterr().err
+        assert code == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["spectrum", "--L", "0"], "--L must be positive"),
+        (["spectrum", "--L", "-3"], "--L must be positive"),
+        (["spectrum", "--count", "-2"], "count must be at least 1"),
+        (["spectrum", "--count", "0"], "count must be at least 1"),
+        (["gamma", "--nu", "-1"], "--nu must be positive"),
+    ], ids=["L=0", "L=-3", "count=-2", "count=0", "nu=-1"])
+    def test_out_of_range_input_exits_2(self, capsys, flags, named):
+        code = cli_main(flags + ["--potential", "square_well", "--v0", "0.1", "--a", "1"])
+        assert named in capsys.readouterr().err
         assert code == 2
 
     def test_sweep_flags_override_config(self, tmp_path, capsys):

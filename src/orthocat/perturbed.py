@@ -22,8 +22,10 @@ Across the support, (psi, psi') is advanced for many energies at once by the
 fourth-order Magnus step with two Gauss-Legendre points (Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 2009), whose exponential of a traceless 2x2 matrix is
 closed form; the step is exact where V is constant.  Steps break at -a, 0, a
-and every knot of V, and are short enough that the phase moves by less than
-pi per step, so it is unwrapped step by step from atan2(sigma psi, psi').
+and every knot of V.  A block of steps is applied by prefix products of its
+step matrices in log2(steps) array rounds, not one step at a time; each step
+turns the phase by less than pi, so it is unwrapped from atan2(sigma psi,
+psi') at every step end.
 
 All eigenvalues of a row come from one vectorized Illinois iteration inside
 the min-max brackets, and all eigenfunctions from one more pass that also
@@ -65,7 +67,7 @@ _STEP_PHASE = 1.0
 # Where V is not constant the step is also at most _STEP_SCALE * tol^(1/4),
 # the fourth-order rate.
 _STEP_SCALE = 3.0
-# Step-by-energy entries of the step exponentials held at once.
+# Step-by-energy entries of a block, whose step matrices are held at once.
 _BLOCK = 1 << 12
 # count_below refuses E when theta(L, E) is this close to a multiple of pi.
 _PHASE_TOL = 1e-8
@@ -129,8 +131,8 @@ def _magnus(points, V: Potential, mus, u, p):
     where qbar is the mean of q at the two points and c = sqrt(3)/12 h^2
     (V1 - V2) does not depend on mu; exp(Omega) = C I + S Omega with
     (C, S) = (cosh w, sinh w / w) for w^2 = c^2 + h^2 qbar >= 0 and the
-    trigonometric forms otherwise.  Yields the states at the step ends, a
-    block of steps at a time, as two arrays of shape (steps, energies).
+    trigonometric forms otherwise.  Yields the states (psi, psi') at the step
+    ends, a block of steps at a time, as arrays of shape (2, steps, energies).
     """
     h = np.diff(points)
     mid = 0.5 * (points[1:] + points[:-1])
@@ -138,6 +140,7 @@ def _magnus(points, V: Potential, mus, u, p):
     v1, v2 = np.split(V(np.concatenate([mid - offset, mid + offset])), 2)
     c = (_SQRT3 / 12.0) * h * h * (v1 - v2)
     block = max(1, _BLOCK // mus.size)
+    x = np.array([u, p])[:, None]
     for s in range(0, h.size, block):
         hb, cb = h[s:s + block, None], c[s:s + block, None]
         hq = hb * (0.5 * (v1[s:s + block] + v2[s:s + block])[:, None] - mus)
@@ -145,17 +148,28 @@ def _magnus(points, V: Potential, mus, u, p):
         w = np.sqrt(np.abs(w2))
         grows = w2 > 0.0
         small = np.abs(w2) < 1e-8
-        cosine = np.where(grows, np.cosh(w), np.cos(w))
-        sine = np.where(small, 1.0 + w2 / 6.0,
-                        np.where(grows, np.sinh(w), np.sin(w)) / np.where(small, 1.0, w))
-        m11, m12 = cosine + sine * cb, sine * hb
-        m21, m22 = sine * hq, cosine - sine * cb
-        us, ps = np.empty_like(m11), np.empty_like(m11)
-        for a11, a12, a21, a22, u_out, p_out in zip(m11, m12, m21, m22, us, ps):
-            np.add(a11 * u, a12 * p, out=u_out)
-            np.add(a21 * u, a22 * p, out=p_out)
-            u, p = u_out, p_out
-        yield us, ps
+        cosine, sine = np.cos(w), np.sin(w)
+        np.cosh(w, out=cosine, where=grows)
+        np.sinh(w, out=sine, where=grows)
+        sine = np.where(small, 1.0 + w2 / 6.0, sine / np.where(small, 1.0, w))
+        states = _advance(np.array([[cosine + sine * cb, sine * hb],
+                                    [sine * hq, cosine - sine * cb]]), x)
+        x = states[:, -1:]
+        yield states
+
+
+def _advance(m, x):
+    """States m_i ... m_0 x at every step i of step matrices m (2, 2, steps,
+    energies) from x (2, 1, energies): the products of adjacent pairs advance x
+    recursively to every odd step, and one step more reaches every even one."""
+    n = m.shape[2]
+    if n == 1:
+        return np.einsum("ikse,kse->ise", m, x)
+    out = np.empty((2,) + m.shape[2:])
+    out[:, 1::2] = _advance(np.einsum("ikse,kjse->ijse", m[:, :, 1::2], m[:, :, :n - 1:2]), x)
+    prev = np.concatenate([x, out[:, 1:n - 1:2]], axis=1)
+    out[:, ::2] = np.einsum("ikse,kse->ise", m[:, :, ::2], prev)
+    return out
 
 
 def _phases(mus, V: Potential, L: float, points):
@@ -300,11 +314,9 @@ def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
     psi = np.empty((mus.size, x.size))
     psi[:, left], (u, p) = _wall(mus, d, x[left] + L)
     points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x[mid])
-    states = [u[None]]
-    for us, ps in _magnus(points, V, mus, u, p):
-        states.append(us)
-    states = np.concatenate(states)
-    psi_a, dpsi_a = states[-1], ps[-1]
+    blocks = list(_magnus(points, V, mus, u, p))
+    states = np.concatenate([u[None]] + [us for us, _ in blocks])
+    psi_a, dpsi_a = blocks[-1][:, -1]
     s2 = np.where(mus > 0.0, mus, 1.0)
     beta = (psi_a * u - dpsi_a * p / s2) / (u * u + p * p / s2)
     mismatch = np.abs(psi_a * p + dpsi_a * u) / np.sqrt(s2 * u * u + p * p)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from orthocat.core import build_grid, gaussian_truncated, square_well, table_potential
 
@@ -40,3 +41,9 @@ def grid_for(L, nu=NU_UNIT_DENSITY, a=1.0, npw=16):
 @pytest.fixture(scope="session")
 def grid_L1():
     return build_grid(1.0, math.pi / 2.0, support=(-1.0, 1.0))
+
+
+# Property tests draw the same examples on every run, with no per-example
+# deadline, so host load can neither change nor fail them.
+settings.register_profile("orthocat", derandomize=True, deadline=None, max_examples=20)
+settings.load_profile("orthocat")

@@ -213,6 +213,17 @@ class TestWallMatching:
         assert mu < 0.0
         assert len(calls) <= 20
 
+    def test_seeded_table_phase_passes(self, monkeypatch):
+        # the spectrum's ten roots take 74 phase passes; a cheaper pass must
+        # not be bought with more Illinois iterations
+        calls = []
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases",
+                            lambda *args: calls.append(1) or phases(*args))
+        for k in range(1, 11):
+            perturbed_eigenvalue(k, _seeded_table(1), 5.25)
+        assert len(calls) <= 74
+
     @BOUND_STATE_POTENTIALS
     def test_bound_state_residual_measures_eigenvalue_error(self, V):
         grid = fermi_grid(V, self.L, math.pi**2)
@@ -220,6 +231,55 @@ class TestWallMatching:
         assert perturbed_eigenfunction(1, mu, V, grid).endpoint_residual < 1e-12
         off = perturbed_eigenfunction(1, mu * (1 + 1e-8), V, grid).endpoint_residual
         assert off > 1e-10
+
+
+def _reference_states(points, V, mus, u, p):
+    """(psi, psi') at every later point, one Magnus step at a time.
+
+    Same step as the solver (two Gauss-Legendre points), but its exponential
+    comes from complex cosh and sinh instead of the real branches, and the
+    steps are applied one after another."""
+    h = np.diff(points)[:, None]
+    mid = 0.5 * (points[1:] + points[:-1])[:, None]
+    v1, v2 = V(mid - math.sqrt(3) / 6 * h), V(mid + math.sqrt(3) / 6 * h)
+    c = math.sqrt(3) / 12 * h * h * (v1 - v2)
+    hq = h * (0.5 * (v1 + v2) - mus)
+    w = np.sqrt(c * c + h * hq + 0j)
+    cosh = np.cosh(w).real
+    sinhc = np.where(w == 0, 1.0, np.sinh(w) / np.where(w == 0, 1.0, w)).real
+    steps = zip(cosh + sinhc * c, sinhc * h, sinhc * hq, cosh - sinhc * c)
+    states = []
+    for m11, m12, m21, m22 in steps:
+        u, p = m11 * u + m12 * p, m21 * u + m22 * p
+        states.append((u, p))
+    return np.transpose(states, (1, 0, 2))
+
+
+class TestMagnusScan:
+    """The block prefix products of ``_magnus`` against plain step-by-step
+    propagation, in allowed and forbidden regions, across block boundaries."""
+
+    POTENTIALS = {
+        "table": (_seeded_table(1), (-0.2, 50.0)),
+        "barrier": (square_well(20.0, 1.0), (0.5, 19.0)),
+        "gauss_barrier": (gaussian_truncated(20.0, 0.5, 1.5), (0.5, 19.0)),
+    }
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    @pytest.mark.parametrize("width", [1, 2, 200])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 1001, "past_block"])
+    def test_matches_step_by_step_propagation(self, name, width, steps):
+        V, (lo, hi) = self.POTENTIALS[name]
+        if steps == "past_block":
+            steps = perturbed._BLOCK // width + 5
+        points = np.linspace(-V.a, V.a, steps + 1)
+        mus = np.linspace(lo, hi, width)
+        u, p = np.random.default_rng(steps + width).normal(size=(2, width))
+        states = np.concatenate(list(perturbed._magnus(points, V, mus, u, p)), axis=1)
+        ref = _reference_states(points, V, mus, u, p)
+        assert states.shape == ref.shape == (2, steps, width)
+        err = np.abs(states - ref).max(axis=0)
+        assert np.all(err <= 1e-12 * np.hypot(*ref)), err.max()
 
 
 class TestBatchConsistency:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -154,8 +155,15 @@ class TestScatteringCoefficients:
         # the integration overflows at 3e5; no floating-point warning may leak
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverFailure):
+            with pytest.raises(SolverFailure, match="transfer matrix overflowed"):
                 scattering_coefficients(square_well(v0, 1.0), math.pi)
+
+    def test_stalled_integration_names_the_solver(self, monkeypatch):
+        # a failure with the state far from the float range is not an overflow
+        monkeypatch.setattr(scattering, "solve_ivp", lambda *args, **kwargs: SimpleNamespace(
+            success=False, message="stalled", y=np.ones((4, 1))))
+        with pytest.raises(SolverFailure, match=r"DOP853 failed \(stalled\)"):
+            scattering_coefficients(square_well(1.0, 1.0), math.pi)
 
     def test_unitarity_defect_raises(self, monkeypatch):
         # det M = 2 breaks the closed form's premise: |t|^2 + |r|^2 = 5/9

@@ -7,10 +7,11 @@ Everything here is closed form or one-dimensional quadrature on Gauss panels
 are built from O(n) rescaled sine and cosine factors (semi-separable in
 min(x, y) and max(x, y), or separable), so they remain finite for complex
 energies far from the real axis even when L is large, and the squared
-resolvent is applied through prefix sums without being formed.  Systems
-1 - diag(a) K diag(d) in an outgoing wave kernel plus a rank-two separable
-part, the Green kernel among them, are solved in O(n) through a banded
-embedding (``_helmholtz_solve``).
+resolvent is applied, or its quadratic form taken, through prefix sums
+without being formed.  Systems 1 - diag(a) K diag(d) in an outgoing wave
+kernel plus a rank-two separable part, the Green kernel among them, are
+solved in O(n) through a (2, 2)-banded system in 2n unknowns
+(``_helmholtz_solve``).
 """
 
 from __future__ import annotations
@@ -207,45 +208,60 @@ def _semiseparable_apply(a, b, Y):
     return b[:, None] * head + a[:, None] * np.concatenate([tail, np.zeros_like(head[:1])])
 
 
+def _semiseparable_form(a, b, Y):
+    """sum_ij Y_i a(min(t_i, t_j)) b(max(t_i, t_j)) Y_j per column of Y at
+    sorted points t: by symmetry twice the j < i part plus the diagonal, from
+    one prefix sum."""
+    head = np.cumsum(a[:, None] * Y, axis=0)
+    return np.sum(b[:, None] * Y * (2.0 * head - a[:, None] * Y), axis=0)
+
+
 def _helmholtz_solve(k: complex, x, a, d, U, C, B):
     """Solve (1 - diag(a) K diag(d)) X = B on sorted points x in O(n) for the
     kernel K(x, y) = -i e^{ik|x-y|} / 2k + U(x) C U(y)^T, Im k >= 0, U of
     shape (n, 2).  Returns X and a function solving further right-hand sides
     with the same factors.
 
-    The outgoing part is embedded in a (3, 3)-banded system in the unknowns
-    g_i, P_i = sum_{j<=i} e^{ik(x_i - x_j)} d_j g_j and
-    Q_i = sum_{j>i} e^{ik(x_j - x_i)} d_j g_j, coupled only through
-    e^{ik(x_i - x_{i-1})}, of modulus at most one; the min/max generators of
-    ``green_kernel`` grow and shrink exponentially and make the elimination
-    unstable.  The rank-two part enters by Woodbury, its two columns solved
-    with B.  A singular band or capacitance raises SolverFailure."""
+    The outgoing part is carried by the 2n unknowns
+    P_i = sum_{j<=i} e^{ik(x_i - x_j)} d_j g_j and
+    Q_i = sum_{j>i} e^{ik(x_j - x_i)} d_j g_j of a solution g; then
+    g = b - (i/2k) a (P + Q), and substituting it into the recurrences
+    P_i = e_i P_{i-1} + d_i g_i and Q_i = e_{i+1} (Q_{i+1} + d_{i+1} g_{i+1})
+    gives a (2, 2)-banded system in (P_0, Q_0, P_1, Q_1, ...), coupled only
+    through e_i = e^{ik(x_i - x_{i-1})}, of modulus at most one; the min/max
+    generators of ``green_kernel`` grow and shrink exponentially and make the
+    elimination unstable.  The rank-two part enters by Woodbury, its two
+    columns solved with B.  A singular band or capacitance raises
+    SolverFailure."""
     x = np.asarray(x, dtype=float)
     if np.any(np.diff(x) < 0.0):
         raise ValueError("points must be sorted")
-    n, kl = x.size, 3
-    e = np.exp(1j * k * np.diff(x))
-    ig, ip, iq = (np.arange(r, 3 * n, 3) for r in range(3))
-    ab = np.zeros((3 * kl + 1, 3 * n), dtype=complex)  # LAPACK band storage, kl = ku
+    n, kl, c = x.size, 2, 0.5j / k
+    e, cad = np.exp(1j * k * np.diff(x)), c * a * d
+    ip, iq = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    ab = np.zeros((3 * kl + 1, 2 * n), dtype=complex)  # LAPACK band storage, kl = ku
 
     def put(rows, cols, values):
         ab[2 * kl + rows - cols, cols] = values
 
-    put(np.arange(3 * n), np.arange(3 * n), 1.0)
-    put(ig, ip, 0.5j * a / k)                 # g_i + (i/2k) a_i (P_i + Q_i) = b_i
-    put(ig, iq, 0.5j * a / k)
-    put(ip, ig, -d)                           # P_i = e_i P_{i-1} + d_i g_i
+    # with c = i/2k: P_i - e_i P_{i-1} + c a_i d_i (P_i + Q_i) = d_i b_i and
+    # Q_i - e_{i+1} Q_{i+1} + e_{i+1} c a_{i+1} d_{i+1} (P + Q)_{i+1} = e_{i+1} d_{i+1} b_{i+1}
+    put(ip, ip, 1.0 + cad)
+    put(ip, iq, cad)
     put(ip[1:], ip[:-1], -e)
-    put(iq[:-1], iq[1:], -e)                  # Q_i = e_{i+1} (Q_{i+1} + d_{i+1} g_{i+1})
-    put(iq[:-1], ig[1:], -e * d[1:])
+    put(iq, iq, 1.0)
+    put(iq[:-1], iq[1:], -e * (1.0 - cad[1:]))
+    put(iq[:-1], ip[1:], e * cad[1:])
     lu, piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
     if info != 0:
         raise SolverFailure(f"banded Helmholtz system singular (zgbtrf info = {info})")
 
     def banded_solve(rhs):
-        full = np.zeros((3 * n, rhs.shape[1]), dtype=complex)
-        full[ig] = rhs
-        return zgbtrs(lu, kl, kl, full, piv, overwrite_b=1)[0][ig]
+        full = np.zeros((2 * n, rhs.shape[1]), dtype=complex)
+        full[ip] = d[:, None] * rhs
+        full[iq[:-1]] = (e * d[1:])[:, None] * rhs[1:]
+        pq = zgbtrs(lu, kl, kl, full, piv, overwrite_b=1)[0]
+        return rhs - (c * a)[:, None] * (pq[ip] + pq[iq])
 
     first = banded_solve(np.column_stack([B, a[:, None] * U]))
     Y, dU = first[:, -2:], d[:, None] * U
@@ -278,23 +294,45 @@ def _green_kernel_solve(z, x, a, d, L: float, B):
     return _helmholtz_solve(k, x, a, d, U, C, B)
 
 
+def _squared_resolvent_generators(z, t, L: float):
+    """Generators of the squared resolvent kernel R(z)^2 = -dG/dz =
+    (D - C + G/2) / z (delta-term, commutator and Green kernels) at sorted
+    points t: semi-separable (a, b) pairs, each standing for
+    a(min(x, y)) b(max(x, y)), and delta vectors f, each standing for
+    f(x) f(y)."""
+    rz, w, [((us, uc), (vs, vc))] = _factors(z, L, t)
+    # G/2 - C = [u(lo) (v(hi)/sqrt(z) - hi v'(hi)) - lo u'(lo) v(hi)] / (2 sin 2L sqrt(z))
+    scale = 1.0 / (2.0 * w * complex(z))
+    ds, dc = _delta_factors(rz, L, t)
+    root = np.sqrt(0.25 * L / complex(z))
+    return [(scale * us, vs / rz - t * vc), (-scale * t * uc, vs)], [root * ds, root * dc]
+
+
 def squared_resolvent_apply(z, x, Y, L: float):
     """sum_j R(z)^2(x_i, x_j) Y[j] at the points x, for Y of shape (n, r).
-    The kernel sum_j phi_j(x) phi_j(y) / (z - lambda_j)^2 = -dG/dz is
-    (D - C + G/2) / z (delta-term, commutator and Green kernels): rank-two
-    semi-separable plus rank-two separable, so the product takes prefix sums
-    over the sorted points, O(n r), and the kernel is never formed."""
+    The kernel sum_j phi_j(x) phi_j(y) / (z - lambda_j)^2 is rank-two
+    semi-separable plus rank-two separable (``_squared_resolvent_generators``),
+    so the product takes prefix sums over the sorted points, O(n r), and the
+    kernel is never formed."""
     x = np.asarray(x, dtype=float)
     order = np.argsort(x, kind="stable")
     t, Y = x[order], np.asarray(Y)[order]
-    rz, w, [((us, uc), (vs, vc))] = _factors(z, L, t)
-    # G/2 - C = [u(lo) (v(hi)/sqrt(z) - hi v'(hi)) - lo u'(lo) v(hi)] / (2 sin 2L sqrt(z))
-    out = (_semiseparable_apply(us, vs / rz - t * vc, Y) - _semiseparable_apply(t * uc, vs, Y)) / (2.0 * w)
-    ds, dc = _delta_factors(rz, L, t)
-    out += 0.25 * L * (np.outer(ds, ds @ Y) + np.outer(dc, dc @ Y))
+    pairs, deltas = _squared_resolvent_generators(z, t, L)
+    out = sum(_semiseparable_apply(a, b, Y) for a, b in pairs) + sum(np.outer(f, f @ Y) for f in deltas)
     result = np.empty_like(out)
-    result[order] = out / complex(z)
+    result[order] = out
     return result
+
+
+def _squared_resolvent_form(z, x, Y, L: float):
+    """Y[:, j]^T R(z)^2 Y[:, j] for every column of Y (no conjugation) at
+    sorted points x, in O(n r): one prefix sum per semi-separable generator
+    and (f . Y)^2 per delta vector.  Unsorted points raise ValueError."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("points must be sorted")
+    pairs, deltas = _squared_resolvent_generators(z, x, L)
+    return sum(_semiseparable_form(a, b, Y) for a, b in pairs) + sum((f @ Y) ** 2 for f in deltas)
 
 
 def truncated_resolvent_direct(n: int, z, x, y, L: float):

@@ -22,12 +22,12 @@ from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize,
 from .free import (
     _green_kernel_solve,
     _helmholtz_solve,
+    _squared_resolvent_form,
     fermi_contour_point,
     fermi_energy,
     free_eigenfunction_matrix,
     free_eigenvalues,
     green_kernel,
-    squared_resolvent_apply,
 )
 from .perturbed import count_below
 from . import metrics as _metrics
@@ -171,14 +171,26 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     """Anderson integral through its contour representation,
     (1/2 pi i) * integral over the Fermi parabola of tr[P_N R T R^2 T] dz.
 
-    Each contour node factors 1 - sqrt|V| R sqrt|V| J once for both solves,
-    in O(n) in the n support nodes (``free._green_kernel_solve``: the Green
-    kernel is an outgoing wave plus a rank-two reflection, and no n x n
-    matrix is formed), and applies R^2 = -dR/dz = (D - C + G/2) / z in closed
-    form (``squared_resolvent_apply``).  The s >= 0 half suffices by
-    conjugation symmetry.  Gauss panels (``core.NODES_PER_PANEL`` nodes each)
-    of width <= min(1/2, 1/max(L - a, L/2)) cover s <= 1, where the box sets
-    the oscillation; panels doubling in width continue to the cut.  The
+    Each contour node makes one O(n) solve in the n support nodes,
+    u_j = A^{-1} sqrt|V| phi_j with A = 1 - sqrt|V| R sqrt|V| J
+    (``free._green_kernel_solve``: the Green kernel is an outgoing wave plus a
+    rank-two reflection, and no n x n matrix is formed).  diag(w J) A is
+    complex-symmetric, so by reciprocity the trace term
+    (sqrt|V| phi_j)^T w J A^{-1} sqrt|V| R^2 Y_j is the quadratic form
+    Y_j^T R^2 Y_j, Y_j = sqrt|V| w J u_j, and needs no second solve; R^2 =
+    -dR/dz is rank-two semi-separable plus rank-two separable, so the form
+    takes prefix sums.  The s >= 0 half suffices by conjugation symmetry.
+
+    The integrand has poles where (sqrt(nu) + i s)^2 meets a free or a
+    perturbed level mu, on the imaginary s axis at the pole gap
+    |sqrt(mu) - sqrt(nu)|.  Levels of channel c sit at
+    sqrt(mu) = (pi/2L)(j - delta_c/pi), so the gap is at least
+    (pi/2L)(1/2 - |delta_c|/pi).  A Gauss panel (``core.NODES_PER_PANEL``
+    nodes) converges fast while its width is at most a few times its
+    distance to the nearest pole: one panel on [0, w/8],
+    w = 1/max(L - a, L/2), no wider than the gap, then panels tripling in
+    width, each twice as wide as its distance from s = 0, out to the cut.
+    For L >> a, w/8 ~ 1/8L, so the rule covers |delta_c| <= 0.42 pi.  The
     integrand decays like s^-6: the part beyond s = 128 measured 1-2e-8 of I
     (wells, a table, a Gaussian; N = 10, 40), 30 times less per doubling.
     The cut is s = 128, or 690 / a past a = 5.4, where the kernels' domain
@@ -197,23 +209,20 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
 
     x, w = _support(V, grid)
     sq = np.sqrt(np.abs(V(x)))
-    wJ = w * sign_operator(V, x)
+    d = sq * w * sign_operator(V, x)  # sqrt|V| w J
     lam_low = free_eigenvalues(L, N)
     v_mat = sq[:, None] * free_eigenfunction_matrix(N, L, x).T  # (n, N)
 
-    s_uniform, width = min(1.0, s_cut), min(0.5, 1.0 / max(L - V.a, 0.5 * L))
-    edges = list(np.linspace(0.0, s_uniform, math.ceil(s_uniform / width) + 1))
+    edges = [0.0, min(0.125 / max(L - V.a, 0.5 * L), s_cut)]
     while edges[-1] < s_cut:
-        edges.append(min(2.0 * edges[-1], s_cut))
+        edges.append(min(3.0 * edges[-1], s_cut))
     s_nodes, s_weights, _ = _panelize(edges, np.diff(edges))  # one panel per interval
 
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         z = fermi_contour_point(nu, s)
-        u, solve = _green_kernel_solve(z, x, sq, sq * wJ, L, v_mat)  # Omega sqrt|V| phi_j
-        h = sq[:, None] * squared_resolvent_apply(z, x, (sq * wJ)[:, None] * u, L)
-        p = solve(h)
-        trace = np.sum(np.einsum("ij,i,ij->j", v_mat, wJ, p) / (z - lam_low))
+        u, _ = _green_kernel_solve(z, x, sq, d, L, v_mat)  # Omega sqrt|V| phi_j
+        trace = np.sum(_squared_resolvent_form(z, x, d[:, None] * u, L) / (z - lam_low))
         total += ws * (2.0 / math.pi) * ((root + 1j * s) * trace).real
     return float(total)
 

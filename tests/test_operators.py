@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from orthocat import operators
+from orthocat import free, operators
 from orthocat.core import (
+    NODES_PER_PANEL,
     ConfigurationError,
     SolverFailure,
     build_grid,
@@ -19,9 +20,11 @@ from orthocat.free import (
     NearSpectrumError,
     _green_kernel_solve,
     _helmholtz_solve,
+    _squared_resolvent_form,
     fermi_contour_point,
     fermi_energy,
     green_kernel,
+    squared_resolvent_apply,
 )
 from orthocat.metrics import anderson_result
 from orthocat.operators import (
@@ -336,6 +339,61 @@ class TestContourAnderson:
         ci = contour_anderson(N, V, L, grid)
         assert abs(ci / res.anderson_integral - 1.0) <= 1e-4
 
+    @pytest.mark.parametrize("N", [10, 40])
+    def test_repulsive_well_matches_direct_route(self, N):
+        # square_well(3, 1): channel phases -0.14 pi and -0.19 pi put the
+        # nearest poles closest to the contour of all the wells checked here
+        V = square_well(3.0, 1.0)
+        L = (N + 0.5) / 2.0
+        grid = grid_for(L, nu=fermi_energy(N, L), npw=16)
+        res = anderson_result(N, V, L, grid)
+        assert res.m == N
+        ci = contour_anderson(N, V, L, grid)
+        assert abs(ci / res.anderson_integral - 1.0) <= 1e-4
+
+    @pytest.mark.parametrize("name, N", [
+        ("weak well", 10),
+        ("well(+3)", 10),
+        ("well(-3)", 10),
+        ("gauss(-0.5)", 10),
+        ("table", 10),
+        ("well(+3)", 40),
+    ])
+    def test_s_layout_is_converged(self, monkeypatch, name, N):
+        # splitting every s-interval of the layout into four panels moves
+        # the integral by rounding only
+        V = {
+            "weak well": square_well(0.1, 1.0),
+            "well(+3)": square_well(3.0, 1.0),
+            "well(-3)": square_well(-3.0, 1.0),
+            "gauss(-0.5)": gaussian_truncated(-0.5, 0.5, 1.5),
+            "table": table_potential([-1.5, -0.77, 0.31, 1.5], [0.0, 0.6, -0.4, 0.0]),
+        }[name]
+        L = (N + 0.5) / 2.0
+        grid = grid_for(L, nu=fermi_energy(N, L), a=V.a, npw=8)
+        ci = contour_anderson(N, V, L, grid)
+        panelize = operators._panelize
+        monkeypatch.setattr(operators, "_panelize", lambda breaks, widths: panelize(breaks, np.asarray(widths) / 4.0))
+        fine = contour_anderson(N, V, L, grid)
+        assert abs(ci / fine - 1.0) <= 1e-11
+
+    def test_one_banded_factorization_and_solve_per_node(self, monkeypatch):
+        calls = {"nodes": 0, "zgbtrf": 0, "zgbtrs": 0}
+
+        def counted(name, target):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return target(*args, **kwargs)
+            return wrapper
+
+        for name in ("zgbtrf", "zgbtrs"):
+            monkeypatch.setattr(free, name, counted(name, getattr(free, name)))
+        monkeypatch.setattr(operators, "fermi_contour_point", counted("nodes", fermi_contour_point))
+        V, N, L = square_well(0.1, 1.0), 10, 5.25
+        contour_anderson(N, V, L, grid_for(L, nu=fermi_energy(N, L), npw=8))
+        assert calls["nodes"] == 9 * NODES_PER_PANEL  # [0, w/8] and eight tripling panels
+        assert calls["zgbtrf"] == calls["zgbtrs"] == calls["nodes"]
+
     def test_refuses_more_levels_than_particles(self):
         # square_well(-20, 1) binds two extra levels below nu: M = 12, N = 10
         V, N, L = square_well(-20.0, 1.0), 10, 5.25
@@ -393,6 +451,34 @@ class TestStructuredSolve:
             X, solve = _green_kernel_solve(z, x, sq, d, L, B)
             for got in (X, solve(B)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), s
+
+    @pytest.mark.parametrize("v0", [20.0, -20.0, -3.0])
+    def test_green_kernel_system_near_real_axis(self, v0):
+        # s = 0.01 and 0 put z next to and on the real axis, where the
+        # outgoing-wave couplings e^{ik h} have modulus near one
+        L, nu, x, w, sq, J = _contour_system(square_well(v0, 1.0))
+        d = sq * w * J
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((x.size, 2)) + 1j * rng.standard_normal((x.size, 2))
+        for s in (0.0, 0.01, 1.0):
+            z = fermi_contour_point(nu, s)
+            dense = np.eye(x.size) - sq[:, None] * green_kernel(z, x[:, None], x[None, :], L) * d[None, :]
+            ref = np.linalg.solve(dense, B)
+            X, _ = _green_kernel_solve(z, x, sq, d, L, B)
+            assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max(), s
+
+    @pytest.mark.parametrize("name", STRUCTURED_POTENTIALS)
+    def test_squared_resolvent_form_matches_apply(self, name):
+        L, nu, x, w, sq, J = _contour_system(STRUCTURED_POTENTIALS[name])
+        rng = np.random.default_rng(5)
+        Y = (sq * w * J)[:, None] * (rng.standard_normal((x.size, 4)) + 1j * rng.standard_normal((x.size, 4)))
+        for s in (0.0, 1.0, 10.0, 128.0):
+            z = fermi_contour_point(nu, s)
+            ref = np.sum(Y * squared_resolvent_apply(z, x, Y, L), axis=0)
+            got = _squared_resolvent_form(z, x, Y, L)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), s
+        with pytest.raises(ValueError, match="sorted"):
+            _squared_resolvent_form(z, x[::-1], Y, L)
 
     @pytest.mark.parametrize("name", STRUCTURED_POTENTIALS)
     def test_phi_hat_matches_dense_solve(self, name):

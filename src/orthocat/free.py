@@ -219,8 +219,7 @@ def _semiseparable_form(a, b, Y):
 def _helmholtz_solve(k: complex, x, a, d, U, C, B):
     """Solve (1 - diag(a) K diag(d)) X = B on sorted points x in O(n) for the
     kernel K(x, y) = -i e^{ik|x-y|} / 2k + U(x) C U(y)^T, Im k >= 0, U of
-    shape (n, 2).  Returns X and a function solving further right-hand sides
-    with the same factors.
+    shape (n, 2).
 
     The outgoing part is carried by the 2n unknowns
     P_i = sum_{j<=i} e^{ik(x_i - x_j)} d_j g_j and
@@ -256,26 +255,20 @@ def _helmholtz_solve(k: complex, x, a, d, U, C, B):
     if info != 0:
         raise SolverFailure(f"banded Helmholtz system singular (zgbtrf info = {info})")
 
-    def banded_solve(rhs):
-        full = np.zeros((2 * n, rhs.shape[1]), dtype=complex)
-        full[ip] = d[:, None] * rhs
-        full[iq[:-1]] = (e * d[1:])[:, None] * rhs[1:]
-        pq = zgbtrs(lu, kl, kl, full, piv, overwrite_b=1)[0]
-        return rhs - (c * a)[:, None] * (pq[ip] + pq[iq])
-
-    first = banded_solve(np.column_stack([B, a[:, None] * U]))
-    Y, dU = first[:, -2:], d[:, None] * U
+    rhs = np.column_stack([B, a[:, None] * U])
+    full = np.zeros((2 * n, rhs.shape[1]), dtype=complex)
+    full[ip] = d[:, None] * rhs
+    full[iq[:-1]] = (e * d[1:])[:, None] * rhs[1:]
+    pq = zgbtrs(lu, kl, kl, full, piv, overwrite_b=1)[0]
+    sol = rhs - (c * a)[:, None] * (pq[ip] + pq[iq])
+    X0, Y, dU = sol[:, :-2], sol[:, -2:], d[:, None] * U
     CM = C @ (dU.T @ Y)
     S = np.eye(2) - CM                        # capacitance, entries known to eps (1 + |CM|)
     det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
     if not abs(det) > np.finfo(float).eps * (1.0 + np.abs(CM).max()) ** 2:
         raise SolverFailure(f"rank-two capacitance singular (det = {det})")
     gain = Y @ (np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det @ C)
-
-    def correct(X0):
-        return X0 + gain @ (dU.T @ X0)
-
-    return correct(first[:, :-2]), lambda rhs: correct(banded_solve(rhs))
+    return X0 + gain @ (dU.T @ X0)
 
 
 def _green_kernel_solve(z, x, a, d, L: float, B):

@@ -148,7 +148,7 @@ def phi_hat(nu: float, V: Potential, grid: Grid) -> np.ndarray:
     wj = w * sign_operator(V, x)
     sn, cs = np.sin(root * x), np.cos(root * x)
     omega = np.column_stack([sq * sn, sq * cs])
-    sols, _ = _helmholtz_solve(root, x, sq, sq * wj, np.column_stack([cs, sn]), (0.5j / root) * np.eye(2), omega)
+    sols = _helmholtz_solve(root, x, sq, sq * wj, np.column_stack([cs, sn]), (0.5j / root) * np.eye(2), omega)
     if np.abs(sols.imag).max() > 1e-10 * np.abs(sols.real).max():
         raise SolverFailure("complex solution of the real comparison system")
     mat = omega.T @ (wj[:, None] * sols.real)
@@ -221,7 +221,7 @@ def contour_anderson(N: int, V: Potential, L: float, grid: Grid) -> float:
     total = 0.0
     for s, ws in zip(s_nodes, s_weights):
         z = fermi_contour_point(nu, s)
-        u, _ = _green_kernel_solve(z, x, sq, d, L, v_mat)  # Omega sqrt|V| phi_j
+        u = _green_kernel_solve(z, x, sq, d, L, v_mat)  # Omega sqrt|V| phi_j
         trace = np.sum(_squared_resolvent_form(z, x, d[:, None] * u, L) / (z - lam_low))
         total += ws * (2.0 / math.pi) * ((root + 1j * s) * trace).real
     return float(total)
@@ -242,13 +242,6 @@ class AuditItem:
         return self.rhs - self.lhs
 
 
-def _sandwich_norm(kern, V, x, w) -> float:
-    sq = np.sqrt(np.abs(V(x)))
-    sw = np.sqrt(w)
-    m = (sw * sq)[:, None] * kern * (sq * sw)[None, :]
-    return float(np.linalg.norm(m, 2))
-
-
 def bounds_audit(
     V: Potential,
     N: int,
@@ -264,6 +257,7 @@ def bounds_audit(
     root = math.sqrt(nu)
     norms = potential_norms(V)
     x, w = _support(V, grid)
+    sq = np.sqrt(np.abs(V(x)))
     lam = free_eigenvalues(L, N)
     phi = free_eigenfunction_matrix(N, L, x)
     items: list[AuditItem] = []
@@ -290,13 +284,14 @@ def bounds_audit(
         items.append(
             AuditItem(
                 f"truncated_resolvent_norm[s={s}]",
-                _sandwich_norm(kern_sn, V, x, w),
+                NystromOperator(x, w, sq[:, None] * kern_sn * sq[None, :]).norm(),
                 8.0 / math.pi * norms.l1 * math.log(N + 1.0) / math.sqrt(nu + s * s),
             )
         )
 
     kern_g = np.sin(root * np.abs(x[:, None] - x[None, :]))
-    items.append(AuditItem("plane_wave_kernel_norm", _sandwich_norm(kern_g, V, x, w), norms.l1))
+    items.append(AuditItem("plane_wave_kernel_norm",
+                           NystromOperator(x, w, sq[:, None] * kern_g * sq[None, :]).norm(), norms.l1))
 
     if result is None:
         result = _metrics.anderson_result(N, V, L, grid)

@@ -207,29 +207,28 @@ def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10) -> float
 def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
     """Eigenvalues mu_k for an array of indices k >= 1.
 
-    By min-max each root lies within ||V||_inf of the free eigenvalue; a
-    bracket widens geometrically if its sign change is not found at once.
-    One Illinois iteration then refines every root on one fixed step set.  As
-    in brentq, an iterate keeps half the tolerance xtol + rtol |mu| away from
-    both ends, a root is done once its bracket is narrower than that
+    By min-max (Courant-Fischer), lambda_k + inf V <= mu_k <= lambda_k +
+    sup V for the free eigenvalue lambda_k, with inf and sup over the box.
+    V vanishes off its support, so over a box wider than the support they
+    are min(vmin, 0) and max(vmax, 0); over a narrower box these still bound
+    them.  Each end is moved out by 1e-3 max(1, lambda_k), so a root on the
+    bound itself (V = 0, or a constant V that fills the box) still sees a
+    sign change.  One phase pass over the 2n ends checks every bracket; a
+    wrong sign there means the phase is wrong, and raises SolverFailure.
+    One Illinois iteration then refines every root on the same step set.
+    As in brentq, an iterate keeps half the tolerance xtol + rtol |mu| away
+    from both ends, a root is done once its bracket is narrower than that
     tolerance, and the secant root of its final bracket is returned.
     """
     lam = np.array([free_eigenvalue(int(k), L) for k in ks])
     target = math.pi * ks
-    pad = V.sup_abs + 1e-3 * np.maximum(1.0, lam)
-    lo, hi = lam - pad, lam + pad
-    phase_tol = max(1e-13, 0.01 * tol)
-    for _ in range(60):
-        points = _mesh(V, min(V.a, L), lo.min(), hi.max(), phase_tol)
-        f_lo, f_hi = np.split(_phases(np.concatenate([lo, hi]), V, L, points)
-                              - np.tile(target, 2), 2)
-        low, high = f_lo >= 0.0, f_hi <= 0.0
-        if not (low.any() or high.any()):
-            break
-        lo = np.where(low, lam - 2.0 * (lam - lo), lo)
-        hi = np.where(high, lam + 2.0 * (hi - lam), hi)
-    else:
-        raise SolverFailure(f"no bracket for eigenvalues {ks[low | high].tolist()}")
+    pad = 1e-3 * np.maximum(1.0, lam)
+    lo, hi = lam + min(V.vmin, 0.0) - pad, lam + max(V.vmax, 0.0) + pad
+    points = _mesh(V, min(V.a, L), lo.min(), hi.max(), max(1e-13, 0.01 * tol))
+    f_lo, f_hi = np.split(_phases(np.concatenate([lo, hi]), V, L, points) - np.tile(target, 2), 2)
+    bad = (f_lo >= 0.0) | (f_hi <= 0.0)
+    if bad.any():
+        raise SolverFailure(f"phase has the wrong sign at the min-max bracket of eigenvalues {ks[bad].tolist()}")
 
     xtol = max(1e-14, tol * 1e-2) * np.maximum(1.0, np.abs(lam))
     rtol = max(4e-16, tol)

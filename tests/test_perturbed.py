@@ -7,8 +7,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from orthocat import perturbed
-from orthocat.core import (SystemConfig, fermi_grid, gaussian_truncated, potential_norms,
-                           square_well, table_potential)
+from orthocat.core import (SolverFailure, SystemConfig, fermi_grid, gaussian_truncated,
+                           potential_norms, square_well, table_potential)
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
 from orthocat.metrics import anderson_result
 from orthocat.perturbed import (
@@ -195,6 +195,39 @@ class TestSquareWellOverlapOracle:
 
 BOUND_STATE_POTENTIALS = pytest.mark.parametrize(
     "V", [square_well(-0.5, 1.0), gaussian_truncated(-0.5, 0.5, 1.5)], ids=["well", "gauss"])
+
+
+class TestMinMaxBracket:
+    """Every root lies in its Courant-Fischer bracket, which is checked once
+    and never widened."""
+
+    L = 20.25
+    KS = np.arange(1, 41)
+
+    @pytest.mark.parametrize("v0", [0.5, 20.0, -0.5, -20.0])
+    def test_sign_definite_potential_shifts_roots_one_way(self, v0):
+        mus = perturbed_eigenvalues(self.KS, square_well(v0, 1.0), self.L)
+        lam = np.array([free_eigenvalue(int(k), self.L) for k in self.KS])
+        shift = mus - lam
+        assert np.all(shift >= 0.0) if v0 > 0.0 else np.all(shift <= 0.0)
+        assert np.all(np.abs(shift) <= abs(v0))
+
+    def test_wrong_sign_at_bracket_names_the_roots(self, monkeypatch):
+        # in a box of L = 2 the levels are over 1.8 apart, so each bracket
+        # (0.5 wide plus pads) holds one root and a phase off by pi fails it
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases", lambda *args: phases(*args) + math.pi)
+        with pytest.raises(SolverFailure, match=r"eigenvalues \[2, 5\]"):
+            perturbed_eigenvalues([2, 5], square_well(-0.5, 1.0), 2.0)
+
+    def test_batched_well_phase_passes(self, monkeypatch):
+        # N = 200 acceptance-sweep row: one bracket pass, then Illinois
+        calls = []
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases",
+                            lambda *args: calls.append(1) or phases(*args))
+        perturbed_eigenvalues(np.arange(1, 201), square_well(-0.5, 1.0), 100.25)
+        assert len(calls) <= 20
 
 
 class TestWallMatching:

@@ -30,6 +30,9 @@ def test_spectrum_of_random_table(V):
     # min-max: each root lies within ||V||_inf of the free eigenvalue
     lam = np.array([free_eigenvalue(int(k), L) for k in KS])
     assert np.all(np.abs(mus - lam) <= V.sup_abs + 1e-9)
+    # and one-sided, lambda_k + inf V <= mu_k <= lambda_k + sup V (0 included: V = 0 off the support)
+    assert np.all(mus >= lam + min(V.vmin, 0.0) - 1e-9)
+    assert np.all(mus <= lam + max(V.vmax, 0.0) + 1e-9)
     # |V_-| <= c_alpha / (1 + |x|)^2 on the samples that bargmann_upper_bound checks
     xs = np.linspace(-V.a, V.a, 4097)
     c_alpha = float(np.max(-np.clip(V(xs), None, 0.0) * (1.0 + np.abs(xs)) ** 2))

@@ -1,7 +1,8 @@
 """Shared domain objects and decisions: compactly supported potentials, the
-Gauss-Legendre panels of every quadrature (``_panelize``), thermodynamic
-system configuration, potential norms and the weak-coupling measures, integral
-utilities, and the errors (``ConfigurationError``, ``SolverFailure``).
+Gauss-Legendre panels of every quadrature (``_panelize``), the nodes of a
+grid on the support of V (``_support``), thermodynamic system configuration,
+potential norms and the weak-coupling measures, integral utilities, and the
+errors (``ConfigurationError``, ``SolverFailure``).
 
 All quantities use natural units (hbar = 2m = 1), so the kinetic operator is
 -d^2/dx^2, energies are squared wavenumbers, and lengths are inverse
@@ -247,6 +248,12 @@ def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16
     which is all the operator routes read."""
     return build_grid(L, math.sqrt(nu), support=(-V.a, V.a),
                       nodes_per_wavelength=nodes_per_wavelength)
+
+
+def _support(V: Potential, grid: Grid):
+    """The nodes of ``grid`` on the support of V, |x| <= a, and their weights."""
+    mask = np.abs(grid.nodes) <= V.a
+    return grid.nodes[mask], grid.weights[mask]
 
 
 def support_quadrature(V: Potential) -> Grid:

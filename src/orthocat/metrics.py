@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Grid, Potential, smallness_report
+from .core import Grid, Potential, _support, smallness_report
 from .free import fermi_energy, free_eigenfunction_matrix
-from .perturbed import count_below, eigenpairs
+from .perturbed import _free_boundary_sign, _wall_integrals, count_below, eigenpairs
 
 __all__ = [
     "OverlapMatrix",
@@ -49,17 +49,21 @@ class OverlapMatrix:
         return np.linalg.svd(self.matrix[:, : self.n], compute_uv=False) ** 2
 
 
-def overlap_matrix(
-    n: int,
-    V: Potential,
-    L: float,
-    grid: Grid,
-    tol: float = 1e-10,
-) -> OverlapMatrix:
-    """Overlap matrix by quadrature of phi_j * psi_k on the grid."""
-    _, psi = eigenpairs(n, V, L, grid, tol=tol)
-    phi = free_eigenfunction_matrix(n, L, grid.nodes)
-    return OverlapMatrix(n, (phi * grid.weights[None, :]) @ psi.T)
+def overlap_matrix(n: int, V: Potential, L: float, grid: Grid,
+                   tol: float = 1e-10) -> OverlapMatrix:
+    """Overlap matrix (phi_j, psi_k) as the quadrature of phi_j psi_k on the
+    grid's support nodes plus the exact integrals over the two field-free
+    ends.  There phi_j is +-sin(p_j u)/sqrt(L), p_j = pi j / 2L, with sign
+    s_j = ``_free_boundary_sign(j)`` at the left wall and (-1)^(j+1) s_j at
+    the right one, and psi_k is its wall amplitude times w_k(u), so each end
+    adds the amplitudes' product times int sin(p_j u) w_k of
+    ``_wall_integrals``."""
+    mus, psi, walls = eigenpairs(n, V, L, grid, tol=tol)
+    x, w = _support(V, grid)
+    j = np.arange(1, n + 1)
+    tails = _free_boundary_sign(j) * np.array([np.ones(n), (-1.0) ** (j + 1)]) / math.sqrt(L)
+    cross = _wall_integrals(mus, L - min(V.a, L), (math.pi / (2.0 * L)) * j)[1]
+    return OverlapMatrix(n, (free_eigenfunction_matrix(n, L, x) * w) @ psi.T + (tails.T @ walls) * cross)
 
 
 def anderson_integral(overlap: OverlapMatrix) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize, potential_norms, smallness_report
+from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize, _support, potential_norms, smallness_report
 from .free import (
     _green_kernel_solve,
     _helmholtz_solve,
@@ -68,11 +68,6 @@ class NystromOperator:
     def norm(self) -> float:
         """L^2 operator norm (largest singular value of the symmetrization)."""
         return float(np.linalg.norm(self.symmetrized, 2))
-
-
-def _support(V: Potential, grid: Grid):
-    mask = np.abs(grid.nodes) <= V.a
-    return grid.nodes[mask], grid.weights[mask]
 
 
 def sign_operator(V: Potential, nodes: np.ndarray) -> np.ndarray:

@@ -30,8 +30,11 @@ psi') at every step end.
 All eigenvalues of a row come from one vectorized Illinois iteration inside
 the min-max brackets, and all eigenfunctions from one more pass that also
 steps through the support nodes of the grid and samples psi there; the right
-tail is matched to the wall solution at a.  Failures raise
-``core.SolverFailure``.
+tail is matched to the wall solution at a.  A perturbed eigenstate is thus
+its samples at the support nodes plus the amplitudes of its two wall
+solutions, and every integral over the field-free ends, its norm and its
+overlaps with the free modes, is taken in closed form (``_wall_integrals``).
+Failures raise ``core.SolverFailure``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, Potential, SolverFailure, potential_norms
+from .core import Grid, Potential, SolverFailure, _support, potential_norms
 from .free import free_eigenvalue
 
 __all__ = [
@@ -71,35 +74,67 @@ _STEP_SCALE = 3.0
 _BLOCK = 1 << 12
 # count_below refuses E when theta(L, E) is this close to a multiple of pi.
 _PHASE_TOL = 1e-8
+# Powers of the series in _wall_integrals, which converge to rounding for
+# arguments up to 1; (2n+1)! and 1/(2m+2n+3) for each power.
+_SERIES = np.arange(12)
+_ODD_FACTORIALS = np.array([math.factorial(2 * n + 1) for n in _SERIES], dtype=float)
+_SERIES_WEIGHTS = 1.0 / (2 * _SERIES[:, None] + 2 * _SERIES + 3)
 
 
 class AmbiguousEnergyError(ValueError):
     """The probe energy sits within tolerance of an eigenvalue."""
 
 
-def _wall(mus, d: float, u=()):
-    """V = 0 solutions that vanish at a wall, sampled at distances u >= 0
-    from it (rows follow the energies ``mus``), and their values and slopes
-    at distance d, as an array of shape (2, mus.size).
+def _wall(mus, d: float):
+    """Values and slopes at distance d from a wall of the V = 0 solutions
+    that vanish there, as an array of shape (2, mus.size):
 
     mu > 0:  sin(sqrt(mu) u).
     mu = 0:  u.
     mu < 0:  e^{-kappa d} sinh(kappa u), kappa = sqrt(-mu), written with
              decaying exponentials only, so sizes at u = d are of order one.
-    Each regime is evaluated on its own rows only.
     """
-    u = np.asarray(u, dtype=float)
-    w, end = np.empty((mus.size, u.size)), np.empty((2, mus.size))
-    pos, neg = mus > 0.0, mus < 0.0
-    zero = ~(pos | neg)
-    rm = np.sqrt(mus[pos])
-    w[pos] = np.sin(rm[:, None] * u)
-    end[:, pos] = np.sin(rm * d), rm * np.cos(rm * d)
-    kap = np.sqrt(-mus[neg])
-    w[neg] = -0.5 * np.exp(kap[:, None] * (u - d)) * np.expm1(-2.0 * kap[:, None] * u)
-    end[:, neg] = -0.5 * np.expm1(-2.0 * kap * d), 0.5 * kap * (1.0 + np.exp(-2.0 * kap * d))
-    w[zero], end[0, zero], end[1, zero] = u, d, 1.0
-    return w, end
+    r = np.sqrt(np.abs(mus))
+    return np.where(mus > 0.0, (np.sin(r * d), r * np.cos(r * d)),
+                    np.where(mus < 0.0, (-0.5 * np.expm1(-2.0 * r * d), 0.5 * r * (1.0 + np.exp(-2.0 * r * d))),
+                             ([d], [1.0])))
+
+
+def _wall_integrals(mus, d: float, p):
+    """Integrals over a field-free end, 0 <= u <= d, of the wall solutions w
+    of ``_wall``: int w^2 for every energy, shape (mus.size,), and
+    int sin(p_j u) w for every wavenumber p_j >= 0 and energy, shape
+    (p.size, mus.size).
+
+    With r = sqrt|mu|, w = c S for S(u) = sin(r u)/r (u at mu = 0, and
+    sinh(r u)/r for mu < 0) and c = w'(0).  Where r d <= 1 (and p d <= 1
+    for a cross term) both come from the Taylor series of S,
+        int S^2 = d^3 sum_{m,n} (-mu d^2)^{m+n} / ((2m+1)! (2n+1)! (2m+2n+3)),
+        int sin(p u) S = d^2 sum_{m,n} (-1)^m (p d)^{2m+1} (-mu d^2)^n
+                         / ((2m+1)! (2n+1)! (2m+2n+3)).
+    Elsewhere they are closed forms, which cancel by a few ulps at most
+    there.  For mu > 0, int w^2 = (d/2)(1 - sin(2rd)/2rd) and the cross term
+    is (q d sinc((p - r) d) - cos(P d) sin(q d)) / (p + r) with q = min(p, r),
+    P = max(p, r) and sinc x = sin x / x, exact at p = r.  For mu < 0,
+    int w^2 = (d/2)((1 - e^{-4rd})/4rd - e^{-2rd}), and for mu <= 0 the
+    cross term is the Green identity (sin(pd) w'(d) - p cos(pd) w(d)) /
+    (p^2 - mu), whose denominator is at least p^2.
+    """
+    (w, dw), r = _wall(mus, d), np.sqrt(np.abs(mus))
+    x, pos, pc = 2.0 * r * d, mus > 0.0, p[:, None]
+    sin_p, cos_p, sin_r, cos_r = np.sin(p * d), np.cos(p * d), np.sin(r * d), np.cos(r * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = 0.5 * d * np.where(pos, 1.0 - np.sinc(x / np.pi), -np.expm1(-2.0 * x) / (2.0 * x) - np.exp(-x))
+        cross = np.where(pos, (np.minimum(pc, r) * d * np.sinc((pc - r) * (d / np.pi))
+                               - np.where(pc > r, np.outer(cos_p, sin_r), np.outer(sin_p, cos_r))) / (pc + r),
+                         (np.outer(sin_p, dw) - np.outer(p * cos_p, w)) / (pc * pc - mus))
+    c2, small = np.where(pos, mus, np.where(mus < 0.0, -mus * np.exp(-x), 1.0)), r * d <= 1.0
+    even = np.where(small, -mus * d * d, 0.0)[:, None] ** _SERIES / _ODD_FACTORIALS
+    sq[small] = (d**3 * c2 * np.einsum("km,mn,kn->k", even, _SERIES_WEIGHTS, even))[small]
+    j, k = np.nonzero((p * d <= 1.0)[:, None] & small)
+    odd = (-1.0) ** _SERIES * (p[j, None] * d) ** (2 * _SERIES + 1) / _ODD_FACTORIALS
+    cross[j, k] = d * d * np.sqrt(c2[k]) * np.einsum("em,mn,en->e", odd, _SERIES_WEIGHTS, even[k])
+    return sq, cross
 
 
 def _mesh(V: Potential, a: float, emin: float, emax: float, tol: float, extra=None):
@@ -179,7 +214,7 @@ def _phases(mus, V: Potential, L: float, points):
     a = points[-1]
     d = L - a
     sigma = np.where(mus > 0.0, np.sqrt(np.abs(mus)), 1.0)
-    w, dw = _wall(mus, d)[1]
+    w, dw = _wall(mus, d)
     wall = np.where(mus > 0.0, sigma * d, np.arctan2(w, dw))
     theta = last = wall
     for us, ps in _magnus(points, V, mus, w, dw):
@@ -274,83 +309,82 @@ def perturbed_eigenvalues(ks, V: Potential, L: float, tol: float = 1e-10) -> np.
 class PerturbedEigenpair:
     k: int
     mu: float
-    psi: np.ndarray
-    boundary_sign: int        # sign of psi'(-L)
+    psi: np.ndarray           # samples at the grid's support nodes
+    walls: np.ndarray         # amplitudes of the left and right wall solutions
     # Normalized mismatch at the support edge between psi and the wall
     # solution of the right end (|psi(L)| of the continued solution for
     # mu > 0); an eigenvalue error proxy for bound states too.
     endpoint_residual: float
 
 
-def _free_boundary_sign(k: int) -> int:
-    """Sign of the k-th free eigenfunction's derivative at -L.
+def _free_boundary_sign(k):
+    """Sign of the k-th free eigenfunction's derivative at -L, for an index
+    or an array of them.
 
     Fixing the perturbed sign to the same value keeps eigenfunctions
     continuous in the coupling, so the V = 0 overlap matrix is the identity
     rather than a diagonal of mixed signs."""
-    return 1 if k % 4 in (0, 1) else -1
+    return np.where(np.asarray(k) % 4 <= 1, 1, -1)
 
 
 def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
-    """Normalized eigenfunction samples on the grid for accepted eigenvalues,
-    as rows of an array, and their endpoint residuals.
+    """Normalized eigenfunctions for accepted eigenvalues: their samples at
+    the grid's support nodes (rows), their wall amplitudes, shape (2, n),
+    and their endpoint residuals.
 
-    Left of the support psi is the wall solution in x + L; it is propagated
-    through the support in one pass, whose step points include the grid's
-    support nodes; right of it psi is beta times the wall solution in L - x,
-    with beta the least-squares match of (psi, psi'/sqrt(s2)) at a (s2 = mu
-    for mu > 0, else 1).  The residual is the normalized mismatch left over
-    at a; for mu > 0 it equals |psi(L)| of the solution continued from a.
-    The sign of psi'(-L) copies the free eigenfunction's, so the family
-    deforms continuously from the V = 0 basis.
+    Left of the support psi is the wall solution ``_wall`` in x + L; it is
+    propagated through the support in one pass, whose step points include
+    the support nodes; right of it psi is beta times the wall solution in
+    L - x, with beta the least-squares match of (psi, psi'/sqrt(s2)) at a
+    (s2 = mu for mu > 0, else 1).  The residual is the normalized mismatch
+    left over at a; for mu > 0 it equals |psi(L)| of the solution continued
+    from a.  The norm is the support quadrature plus (1 + beta^2) times the
+    exact int w^2 of ``_wall_integrals``, and the wall amplitudes are
+    (1, beta) times sign / norm.  The sign of psi'(-L) copies the free
+    eigenfunction's, so the family deforms continuously from the V = 0 basis.
     """
     L = grid.half_length
     a = min(V.a, L)
-    d = L - a
-    x = grid.nodes
-    left, right = x < -a, x > a
-    mid = ~(left | right)
-    psi = np.empty((mus.size, x.size))
-    psi[:, left], (u, p) = _wall(mus, d, x[left] + L)
-    points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x[mid])
+    x, weights = _support(V, grid)
+    u, p = _wall(mus, L - a)
+    points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x)
     blocks = list(_magnus(points, V, mus, u, p))
-    states = np.concatenate([u[None]] + [us for us, _ in blocks])
     psi_a, dpsi_a = blocks[-1][:, -1]
     s2 = np.where(mus > 0.0, mus, 1.0)
     beta = (psi_a * u - dpsi_a * p / s2) / (u * u + p * p / s2)
     mismatch = np.abs(psi_a * p + dpsi_a * u) / np.sqrt(s2 * u * u + p * p)
 
-    psi[:, mid] = states[np.searchsorted(points, x[mid])].T
-    psi[:, right] = beta[:, None] * _wall(mus, d, L - x[right])[0]
-    norms = np.sqrt(np.einsum("ij,ij,j->i", psi, psi, grid.weights))
-    signs = np.array([_free_boundary_sign(int(k)) for k in ks])
-    psi *= (signs / norms)[:, None]
-    return psi, mismatch / norms
+    psi = np.concatenate([u[None]] + [us for us, _ in blocks])[np.searchsorted(points, x)].T
+    norms = np.sqrt(psi**2 @ weights + (1.0 + beta**2) * _wall_integrals(mus, L - a, np.empty(0))[0])
+    walls = np.array([np.ones_like(beta), beta]) * (_free_boundary_sign(ks) / norms)
+    return psi * walls[0][:, None], walls, mismatch / norms
 
 
 def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid) -> PerturbedEigenpair:
-    """Normalized eigenfunction samples on the grid for an accepted eigenvalue."""
-    psi, residuals = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid, 1e-10)
-    return PerturbedEigenpair(k, mu, psi[0], _free_boundary_sign(k), float(residuals[0]))
+    """Normalized eigenfunction of an accepted eigenvalue: samples at the
+    grid's support nodes and the amplitudes of its two wall solutions."""
+    psi, walls, residuals = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid, 1e-10)
+    return PerturbedEigenpair(k, mu, psi[0], walls[:, 0], float(residuals[0]))
 
 
 def eigenpairs(n: int, V: Potential, L: float, grid: Grid, tol: float = 1e-10):
-    """Eigenvalues and normalized eigenfunction samples for k = 1..n.
+    """Eigenvalues and normalized eigenfunctions for k = 1..n.
 
-    Returns (mus, Psi) with Psi of shape (n, grid.size): one root solve for
-    all n eigenvalues, then one propagation pass for all eigenfunctions.
+    Returns (mus, Psi, walls): Psi of shape (n, support nodes) holds the
+    samples at the grid's support nodes, and walls of shape (2, n) the
+    amplitudes of the left and right wall solutions (see ``_eigenfunctions``).
+    One root solve gives all n eigenvalues, then one propagation pass all
+    eigenfunctions.
     """
     ks = np.arange(1, n + 1)
     mus = _eigenvalues(ks, V, L, tol)
-    psi, _ = _eigenfunctions(ks, mus, V, grid, tol)
-    return mus, psi
+    return (mus,) + _eigenfunctions(ks, mus, V, grid, tol)[:2]
 
 
 def count_below(E: float, V: Potential, L: float) -> int:
     """Number of eigenvalues below E, read off as floor(theta/pi) of the
     root function ``prufer_phase`` (the matching phase for E <= 0)."""
-    theta = prufer_phase(E, V, L)
-    q = theta / math.pi
+    q = prufer_phase(E, V, L) / math.pi
     if abs(q - round(q)) * math.pi < _PHASE_TOL:
         raise AmbiguousEnergyError(f"E = {E} is within tolerance of an eigenvalue")
     return int(math.floor(q))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -36,6 +37,27 @@ def table_mixed():
 
 def grid_for(L, nu=NU_UNIT_DENSITY, a=1.0, npw=16):
     return build_grid(L, math.sqrt(nu), support=(-a, a), nodes_per_wavelength=npw)
+
+
+def box_samples(psi, walls, mus, V, grid):
+    """Eigenfunction samples at every node of a box grid, rows following
+    ``mus``, from the samples at its support nodes (|x| <= a) and the
+    amplitudes of the left and right wall solutions.  Off the support psi is
+    its amplitude times sin(r u) for mu = r^2 > 0, u for mu = 0 and
+    e^{-kappa d} sinh(kappa u) for mu = -kappa^2 < 0, with u the distance
+    to the nearer wall and d = L - a."""
+    mus = np.atleast_1d(mus)[:, None]
+    walls = np.reshape(walls, (2, -1, 1))
+    L = grid.half_length
+    d = L - min(V.a, L)
+    u = L - np.abs(grid.nodes)
+    r = np.sqrt(np.abs(mus))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = np.where(mus > 0.0, np.sin(r * u),
+                         np.where(mus < 0.0, np.exp(-r * d) * np.sinh(r * u), u))
+    out = np.where(grid.nodes < 0.0, walls[0], walls[1]) * tails
+    out[:, np.abs(grid.nodes) <= V.a] = psi
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orthocat import metrics
 from orthocat.core import potential_norms, scale_potential, square_well
 from orthocat.free import free_eigenvalues
 from orthocat.metrics import (
@@ -16,7 +17,7 @@ from orthocat.metrics import (
 )
 from orthocat.perturbed import eigenpairs
 
-from conftest import grid_for
+from conftest import box_samples, grid_for
 
 V_FREE = square_well(0.0, 1.0)
 
@@ -45,6 +46,18 @@ class TestOverlapMatrix:
     def test_entries_bounded(self, weak_instance):
         _, _, _, ov = weak_instance
         assert np.max(np.abs(ov.matrix)) <= 1.0 + 1e-8
+
+    def test_free_modes_sampled_on_the_support_only(self, well_attractive, monkeypatch):
+        # the field-free ends enter in closed form, so no box-wide samples
+        counts = []
+        sample = metrics.free_eigenfunction_matrix
+        monkeypatch.setattr(metrics, "free_eigenfunction_matrix",
+                            lambda n, L, x: counts.append(np.size(x)) or sample(n, L, x))
+        N, L = 10, 5.25
+        grid = grid_for(L)
+        overlap_matrix(N, well_attractive, L, grid)
+        assert counts == [int(np.sum(np.abs(grid.nodes) <= well_attractive.a))]
+        assert counts[0] < grid.size
 
     def test_grid_refinement_stability(self, well_attractive):
         N, L = 6, 3.25
@@ -79,7 +92,8 @@ class TestAndersonIntegral:
         from orthocat.metrics import OverlapMatrix
 
         grid = build_grid(L, math.pi * (K + 1) / (2 * L), support=(-1.0, 1.0))
-        _, psi = eigenpairs(K, well_attractive, L, grid, tol=1e-10)
+        mus, psi, walls = eigenpairs(K, well_attractive, L, grid, tol=1e-10)
+        psi = box_samples(psi, walls, mus, well_attractive, grid)
         phi = free_eigenfunction_matrix(N, L, grid.nodes)
         wide = (phi * grid.weights) @ psi.T  # N x K overlaps
         i_completeness = anderson_integral(OverlapMatrix(N, wide))

@@ -23,7 +23,7 @@ from orthocat.perturbed import (
     prufer_phase,
 )
 
-from conftest import grid_for
+from conftest import box_samples, grid_for
 
 V_FREE = square_well(0.0, 1.0)
 
@@ -266,6 +266,46 @@ class TestWallMatching:
         assert off > 1e-10
 
 
+def _wall_integrals_reference(mu, d, ps):
+    """int_0^d w^2 and int_0^d sin(p u) w of the wall solution, by mpmath's
+    30-digit Gauss-Legendre quadrature over eight panels."""
+    with mpmath.workdps(30):
+        mu, d = mpmath.mpf(mu), mpmath.mpf(d)
+        if mu > 0:
+            w = lambda u: mpmath.sin(mpmath.sqrt(mu) * u)
+        elif mu < 0:
+            kappa = mpmath.sqrt(-mu)
+            w = lambda u: mpmath.exp(-kappa * d) * mpmath.sinh(kappa * u)
+        else:
+            w = lambda u: u
+        panels = mpmath.linspace(0, d, 9)
+        square = mpmath.quad(lambda u: w(u) ** 2, panels, method="gauss-legendre")
+        cross = [mpmath.quad(lambda u: mpmath.sin(mpmath.mpf(p) * u) * w(u), panels, method="gauss-legendre")
+                 for p in ps]
+        return np.array([float(square)] + [float(c) for c in cross])
+
+
+class TestWallIntegrals:
+    """The closed forms and series of ``_wall_integrals`` on both sides of
+    mu = 0, where the plain closed forms lose digits."""
+
+    @pytest.mark.parametrize("mu", [s * m for m in (1e-14, 1e-10, 1e-6, 1e-2, 0.3) for s in (1, -1)] + [0.0])
+    @pytest.mark.parametrize("d", [20.0, 0.5])
+    def test_against_quadrature(self, mu, d):
+        # p = r, p within 1e-9 of r, and free wavenumbers of the box L = d + 1
+        r = math.sqrt(abs(mu))
+        ps = np.array([r, r + 1e-9] + [math.pi * j / (2.0 * (d + 1.0)) for j in (1, 2, 7, 40)])
+        square, cross = perturbed._wall_integrals(np.array([mu]), d, ps)
+        got = np.concatenate([square, cross[:, 0]])
+        ref = _wall_integrals_reference(mu, d, ps)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (got, ref)
+
+    def test_empty_end(self):
+        mus = np.array([-0.3, -1e-10, 0.0, 1e-10, 0.3])
+        square, cross = perturbed._wall_integrals(mus, 0.0, np.array([0.0, 1e-9, 1.0]))
+        assert np.all(square == 0.0) and np.all(cross == 0.0)
+
+
 def _reference_states(points, V, mus, u, p):
     """(psi, psi') at every later point, one Magnus step at a time.
 
@@ -318,7 +358,7 @@ class TestMagnusScan:
 class TestBatchConsistency:
     def test_batch_mixing_bound_and_box_states(self, well_attractive):
         L = 20.0
-        mus, _ = eigenpairs(12, well_attractive, L, grid_for(L))
+        mus, _, _ = eigenpairs(12, well_attractive, L, grid_for(L))
         assert mus[0] < 0.0 < mus[1]
         for k, mu in enumerate(mus, start=1):
             single = perturbed_eigenvalue(k, well_attractive, L)
@@ -326,7 +366,7 @@ class TestBatchConsistency:
 
     def test_count_at_midpoints_between_roots(self, well_attractive):
         L = 20.0
-        mus, _ = eigenpairs(12, well_attractive, L, grid_for(L))
+        mus, _, _ = eigenpairs(12, well_attractive, L, grid_for(L))
         for k, (lo, hi) in enumerate(zip(mus, mus[1:]), start=1):
             assert count_below(0.5 * (lo + hi), well_attractive, L) == k
 
@@ -388,7 +428,8 @@ class TestPerturbedEigenfunction:
         # not just up to sign
         L = 4.0
         grid = grid_for(L)
-        mus, psi = eigenpairs(6, V_FREE, L, grid)
+        mus, psi, walls = eigenpairs(6, V_FREE, L, grid)
+        psi = box_samples(psi, walls, mus, V_FREE, grid)
         ref = free_eigenfunction_matrix(6, L, grid.nodes)
         assert np.max(np.abs(psi - ref)) < 1e-8
 
@@ -403,7 +444,8 @@ class TestPerturbedEigenfunction:
     def test_orthonormal_family(self, well_attractive):
         L = 5.25
         grid = grid_for(L)
-        _, psi = eigenpairs(10, well_attractive, L, grid)
+        mus, psi, walls = eigenpairs(10, well_attractive, L, grid)
+        psi = box_samples(psi, walls, mus, well_attractive, grid)
         gram = (psi * grid.weights) @ psi.T
         assert np.max(np.abs(gram - np.eye(10))) < 1e-7
 
@@ -412,7 +454,8 @@ class TestPerturbedEigenfunction:
         grid = grid_for(L, a=1.5)
         mu = perturbed_eigenvalue(3, gauss_bump, L)
         pair = perturbed_eigenfunction(3, mu, gauss_bump, grid)
-        assert grid.integrate(pair.psi**2) == pytest.approx(1.0, abs=1e-8)
+        psi = box_samples(pair.psi, pair.walls, mu, gauss_bump, grid)[0]
+        assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
 
     def test_negative_energy_mode_normalizable(self, well_attractive):
         L = 20.0
@@ -420,8 +463,9 @@ class TestPerturbedEigenfunction:
         mu = perturbed_eigenvalue(1, well_attractive, L)
         assert mu < 0
         pair = perturbed_eigenfunction(1, mu, well_attractive, grid)
-        assert grid.integrate(pair.psi**2) == pytest.approx(1.0, abs=1e-8)
-        assert np.all(np.isfinite(pair.psi))
+        psi = box_samples(pair.psi, pair.walls, mu, well_attractive, grid)[0]
+        assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
+        assert np.all(np.isfinite(psi))
 
 
 class TestCounting:

@@ -1,7 +1,6 @@
 import cmath
 import math
 import warnings
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -75,10 +74,10 @@ def table_case(case):
 
 
 class TestExactOracle:
-    # DOP853 at 1e-12 per piece is off by at most 1.5e-11 on M and 2.4e-12
-    # on t over these cases (worst at nu = 4 pi^2); the gate leaves a sixfold
-    # margin and still rejects one RK45 solve across the whole support, off
-    # by 2.0e-10 and 4.1e-10
+    # the Magnus pass is off by at most 3.1e-11 on M (case 2 at nu = 4 pi^2)
+    # and 9.8e-13 on t (case 1 at nu = pi^2/4) over these cases; the gate
+    # leaves a threefold margin and still rejects one RK45 solve across the
+    # whole support, off by 2.0e-10 and 4.1e-10
     @pytest.mark.parametrize("nu", [NU / 4.0, NU, 4.0 * NU])
     @pytest.mark.parametrize("case", ["mixed", 0, 1, 2])
     def test_piecewise_linear_table(self, case, nu):
@@ -150,6 +149,15 @@ class TestScatteringCoefficients:
         for r in (sd.r1, sd.r2):
             assert abs(abs(sd.t) ** 2 + abs(r) ** 2 - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("v0", [-3.0, -0.5, 3.0, 50.0, 100.0, 200.0, 2000.0, 1e5])
+    def test_square_well_exact_to_rounding(self, v0):
+        # every Magnus step on a flat piece is exact, so only rounding is
+        # left: at most 5.2e-15 on t and 1.2e-15 on the unitarity defect
+        sd = scattering_coefficients(square_well(v0, 1.0), math.pi)
+        t_exact = closed_form_transmission(v0, 1.0, math.pi)
+        assert abs(sd.t - t_exact) <= 1e-13 * abs(t_exact)
+        assert sd.unitarity_defect <= 1e-14
+
     @pytest.mark.parametrize("v0", [3e5])
     def test_overflowing_barrier_raises_without_warnings(self, v0):
         # the integration overflows at 3e5; no floating-point warning may leak
@@ -158,12 +166,13 @@ class TestScatteringCoefficients:
             with pytest.raises(SolverFailure, match="transfer matrix overflowed"):
                 scattering_coefficients(square_well(v0, 1.0), math.pi)
 
-    def test_stalled_integration_names_the_solver(self, monkeypatch):
-        # a failure with the state far from the float range is not an overflow
-        monkeypatch.setattr(scattering, "solve_ivp", lambda *args, **kwargs: SimpleNamespace(
-            success=False, message="stalled", y=np.ones((4, 1))))
-        with pytest.raises(SolverFailure, match=r"DOP853 failed \(stalled\)"):
-            scattering_coefficients(square_well(1.0, 1.0), math.pi)
+    def test_non_finite_propagation_raises_without_warnings(self, monkeypatch):
+        # an infinite state at the end of the Magnus pass is an overflow
+        monkeypatch.setattr(scattering, "_magnus", lambda *args: iter([np.full((2, 1, 2), np.inf)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailure, match="transfer matrix overflowed"):
+                scattering_coefficients(square_well(1.0, 1.0), math.pi)
 
     def test_unitarity_defect_raises(self, monkeypatch):
         # det M = 2 breaks the closed form's premise: |t|^2 + |r|^2 = 5/9

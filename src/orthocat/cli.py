@@ -49,8 +49,8 @@ def _cmd_spectrum(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     L = args.L if args.L is not None else SystemConfig(args.rho, args.N).L
     count = args.count if args.count is not None else args.N
-    if not L > 0:
-        raise ConfigurationError(f"--L must be positive, got {L!r}")
+    if not (L > 0 and math.isfinite(L)):
+        raise ConfigurationError(f"--L must be positive and finite, got {L!r}")
     if count < 1:
         raise ConfigurationError(f"the eigenvalue count must be at least 1, got {count}")
     lams = free_eigenvalues(L, count)
@@ -72,8 +72,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_gamma(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     nu = args.nu
-    if not nu > 0:
-        raise ConfigurationError(f"--nu must be positive, got {nu!r}")
+    if not (nu > 0 and math.isfinite(nu)):
+        raise ConfigurationError(f"--nu must be positive and finite, got {nu!r}")
     grid = fermi_grid(V, V.a, nu, args.nodes_per_wavelength)
     g_s = gamma_scattering(V, nu)
     g_m = gamma_matrix(nu, V, grid)

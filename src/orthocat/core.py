@@ -98,6 +98,8 @@ class Potential:
         extremes = self(breaks)
         object.__setattr__(self, "vmin", float(np.min(extremes)))
         object.__setattr__(self, "vmax", float(np.max(extremes)))
+        if not (math.isfinite(self.vmin) and math.isfinite(self.vmax)):
+            raise ConfigurationError("potential values must be finite")
 
     def __call__(self, x):
         """Evaluate V(x); exact zero for |x| > a."""
@@ -351,8 +353,8 @@ class SystemConfig:
     N: int
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigurationError("density must be positive")
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ConfigurationError("density must be positive and finite")
         if self.N < 1:
             raise ConfigurationError("particle count must be at least 1")
 

@@ -49,16 +49,15 @@ class OverlapMatrix:
         return np.linalg.svd(self.matrix[:, : self.n], compute_uv=False) ** 2
 
 
-def overlap_matrix(n: int, V: Potential, L: float, grid: Grid,
-                   tol: float = 1e-10) -> OverlapMatrix:
-    """Overlap matrix (phi_j, psi_k) as the quadrature of phi_j psi_k on the
-    grid's support nodes plus the exact integrals over the two field-free
-    ends.  There phi_j is +-sin(p_j u)/sqrt(L), p_j = pi j / 2L, with sign
-    s_j = ``_free_boundary_sign(j)`` at the left wall and (-1)^(j+1) s_j at
-    the right one, and psi_k is its wall amplitude times w_k(u), so each end
-    adds the amplitudes' product times int sin(p_j u) w_k of
-    ``_wall_integrals``."""
-    mus, psi, walls = eigenpairs(n, V, L, grid, tol=tol)
+def overlap_matrix(n: int, V: Potential, L: float, grid: Grid) -> OverlapMatrix:
+    """Overlap matrix (phi_j, psi_k) in the box [-L, L] as the quadrature of
+    phi_j psi_k on the grid's support nodes plus the exact integrals over the
+    two field-free ends; the grid gives only its support nodes.  There phi_j
+    is +-sin(p_j u)/sqrt(L), p_j = pi j / 2L, with sign s_j =
+    ``_free_boundary_sign(j)`` at the left wall and (-1)^(j+1) s_j at the
+    right one, and psi_k is its wall amplitude times w_k(u), so each end adds
+    the amplitudes' product times int sin(p_j u) w_k of ``_wall_integrals``."""
+    mus, psi, walls = eigenpairs(n, V, L, grid)
     x, w = _support(V, grid)
     j = np.arange(1, n + 1)
     tails = _free_boundary_sign(j) * np.array([np.ones(n), (-1.0) ** (j + 1)]) / math.sqrt(L)
@@ -107,9 +106,10 @@ class AndersonResult:
     defect_norm: float
 
 
-def anderson_result(n: int, V: Potential, L: float, grid: Grid,
-                    tol: float = 1e-10) -> AndersonResult:
-    ov = overlap_matrix(n, V, L, grid, tol=tol)
+def anderson_result(n: int, V: Potential, L: float, grid: Grid) -> AndersonResult:
+    """The (N, rho) instance of N particles in the box [-L, L], from one
+    overlap matrix; the grid gives only its support nodes."""
+    ov = overlap_matrix(n, V, L, grid)
     log_d = log_transition_probability(ov)
     return AndersonResult(
         n=n,

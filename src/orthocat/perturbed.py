@@ -250,6 +250,10 @@ def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
     bound itself (V = 0, or a constant V that fills the box) still sees a
     sign change.  One phase pass over the 2n ends checks every bracket; a
     wrong sign there means the phase is wrong, and raises SolverFailure.
+    It also takes the phase at the lower end of the ground state's bracket,
+    below every level, where it lies in (0, pi) (it tends to 0+ as mu -> -inf);
+    else it is off by a multiple of pi, which brackets holding several levels
+    miss, and SolverFailure is raised.
     One Illinois iteration then refines every root on the same step set.
     As in brentq, an iterate keeps half the tolerance xtol + rtol |mu| away
     from both ends, a root is done once its bracket is narrower than that
@@ -259,11 +263,16 @@ def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
     target = math.pi * ks
     pad = 1e-3 * np.maximum(1.0, lam)
     lo, hi = lam + min(V.vmin, 0.0) - pad, lam + max(V.vmax, 0.0) + pad
-    points = _mesh(V, min(V.a, L), lo.min(), hi.max(), max(1e-13, 0.01 * tol))
-    f_lo, f_hi = np.split(_phases(np.concatenate([lo, hi]), V, L, points) - np.tile(target, 2), 2)
+    lam1 = free_eigenvalue(1, L)
+    floor = lam1 + min(V.vmin, 0.0) - 1e-3 * max(1.0, lam1)
+    points = _mesh(V, min(V.a, L), floor, hi.max(), max(1e-13, 0.01 * tol))
+    ends = _phases(np.concatenate([lo, hi, [floor]]), V, L, points)
+    f_lo, f_hi = np.split(ends[:-1] - np.tile(target, 2), 2)
     bad = (f_lo >= 0.0) | (f_hi <= 0.0)
     if bad.any():
         raise SolverFailure(f"phase has the wrong sign at the min-max bracket of eigenvalues {ks[bad].tolist()}")
+    if not 0.0 < ends[-1] < math.pi:
+        raise SolverFailure(f"phase {ends[-1]:.6g} below the lowest level lies outside (0, pi)")
 
     xtol = max(1e-14, tol * 1e-2) * np.maximum(1.0, np.abs(lam))
     rtol = max(4e-16, tol)
@@ -327,10 +336,11 @@ def _free_boundary_sign(k):
     return np.where(np.asarray(k) % 4 <= 1, 1, -1)
 
 
-def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
-    """Normalized eigenfunctions for accepted eigenvalues: their samples at
-    the grid's support nodes (rows), their wall amplitudes, shape (2, n),
-    and their endpoint residuals.
+def _eigenfunctions(ks, mus, V: Potential, L: float, grid: Grid):
+    """Normalized eigenfunctions for accepted eigenvalues in the box [-L, L]:
+    their samples at the grid's support nodes (rows), their wall amplitudes,
+    shape (2, n), and their endpoint residuals.  Only the support nodes of
+    ``grid`` are read; steps where V is not constant are ``_mesh``'s at 1e-12.
 
     Left of the support psi is the wall solution ``_wall`` in x + L; it is
     propagated through the support in one pass, whose step points include
@@ -343,11 +353,10 @@ def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
     (1, beta) times sign / norm.  The sign of psi'(-L) copies the free
     eigenfunction's, so the family deforms continuously from the V = 0 basis.
     """
-    L = grid.half_length
     a = min(V.a, L)
     x, weights = _support(V, grid)
     u, p = _wall(mus, L - a)
-    points = _mesh(V, a, mus.min(), mus.max(), max(1e-13, 0.01 * tol), x)
+    points = _mesh(V, a, mus.min(), mus.max(), 1e-12, x)
     blocks = list(_magnus(points, V, mus, u, p))
     psi_a, dpsi_a = blocks[-1][:, -1]
     s2 = np.where(mus > 0.0, mus, 1.0)
@@ -361,24 +370,25 @@ def _eigenfunctions(ks, mus, V: Potential, grid: Grid, tol: float):
 
 
 def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid) -> PerturbedEigenpair:
-    """Normalized eigenfunction of an accepted eigenvalue: samples at the
-    grid's support nodes and the amplitudes of its two wall solutions."""
-    psi, walls, residuals = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid, 1e-10)
-    return PerturbedEigenpair(k, mu, psi[0], walls[:, 0], float(residuals[0]))
+    """Normalized eigenfunction of an accepted eigenvalue in the grid's box:
+    samples at its support nodes and the amplitudes of its two wall solutions."""
+    psi, walls, res = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid.half_length, grid)
+    return PerturbedEigenpair(k, mu, psi[0], walls[:, 0], float(res[0]))
 
 
-def eigenpairs(n: int, V: Potential, L: float, grid: Grid, tol: float = 1e-10):
-    """Eigenvalues and normalized eigenfunctions for k = 1..n.
+def eigenpairs(n: int, V: Potential, L: float, grid: Grid):
+    """Eigenvalues and normalized eigenfunctions for k = 1..n in the box
+    [-L, L], the eigenvalues to tolerance 1e-10.
 
     Returns (mus, Psi, walls): Psi of shape (n, support nodes) holds the
     samples at the grid's support nodes, and walls of shape (2, n) the
     amplitudes of the left and right wall solutions (see ``_eigenfunctions``).
-    One root solve gives all n eigenvalues, then one propagation pass all
-    eigenfunctions.
+    The grid gives only its support nodes.  One root solve gives all n
+    eigenvalues, then one propagation pass all eigenfunctions.
     """
     ks = np.arange(1, n + 1)
-    mus = _eigenvalues(ks, V, L, tol)
-    return (mus,) + _eigenfunctions(ks, mus, V, grid, tol)[:2]
+    mus = _eigenvalues(ks, V, L, 1e-10)
+    return (mus,) + _eigenfunctions(ks, mus, V, L, grid)[:2]
 
 
 def count_below(E: float, V: Potential, L: float) -> int:

@@ -30,7 +30,7 @@ from .core import (
     table_potential,
 )
 from .free import NearSpectrumError
-from .metrics import AndersonResult, anderson_result
+from .metrics import anderson_result
 from .operators import gamma_matrix
 from .perturbed import AmbiguousEnergyError
 from .scattering import gamma_gkm, gamma_scattering
@@ -52,8 +52,7 @@ CSV_HEADER = "N,L,I,lnD,defect_norm,M,status"
 
 # The keys a config file may set, by section.
 CONFIG_KEYS = {"potential": ("family", "v0", "a", "sigma", "abscissae", "values"),
-               "sweep": ("rho", "n_list", "fit_fraction", "workers"),
-               "grid": ("nodes_per_wavelength",), "tolerances": ("eigen_tol",),
+               "sweep": ("rho", "n_list", "workers"), "grid": ("nodes_per_wavelength",),
                "output": ("csv", "json")}
 
 # Failures that mark one row as failed: a box smaller than the support, or a
@@ -69,22 +68,14 @@ class SweepConfig:
     rho: float
     n_list: tuple
     nodes_per_wavelength: int = 16
-    eigen_tol: float = 1e-10
-    fit_fraction: float = 0.5
     workers: int = 1
     csv_path: str | None = None
     json_path: str | None = None
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigurationError("rho must be positive")
-        if (len(self.n_list) == 0 or self.n_list[0] < 1
-                or any(b <= a for a, b in zip(self.n_list, self.n_list[1:]))):
-            raise ConfigurationError("N list must be non-empty, positive and strictly increasing")
-        if not 0.0 < self.eigen_tol < 1.0:
-            raise ConfigurationError("tolerances must lie in (0, 1)")
-        if not 0.0 < self.fit_fraction <= 1.0:
-            raise ConfigurationError("fit fraction must lie in (0, 1]")
+        if len(self.n_list) == 0 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ConfigurationError("N list must be non-empty and strictly increasing")
+        SystemConfig(self.rho, self.n_list[0])  # a finite positive density, and N >= 1
         if self.workers < 1:
             raise ConfigurationError("workers must be a positive integer")
 
@@ -119,8 +110,7 @@ def potential_from_spec(spec: dict) -> Potential:
 
 def load_config(path: str) -> SweepConfig:
     """Parse a sectioned key-value config file ([potential], [sweep], [grid],
-    [tolerances], [output]); a section or key outside CONFIG_KEYS is an
-    error."""
+    [output]); a section or key outside CONFIG_KEYS is an error."""
     import configparser
 
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -134,16 +124,14 @@ def load_config(path: str) -> SweepConfig:
     if unknown:
         raise ConfigurationError(f"unknown config entries in {path}: {', '.join(unknown)}")
 
-    pot, sweep, grid, tols, out = (dict(parser[name]) if name in parser else {}
-                                   for name in CONFIG_KEYS)
+    pot, sweep, grid, out = (dict(parser[name]) if name in parser else {}
+                             for name in CONFIG_KEYS)
     try:
         cfg = SweepConfig(
             potential=pot,
             rho=float(sweep["rho"]),
             n_list=_ints(sweep["n_list"]),
             nodes_per_wavelength=int(grid.get("nodes_per_wavelength", 16)),
-            eigen_tol=float(tols.get("eigen_tol", 1e-10)),
-            fit_fraction=float(sweep.get("fit_fraction", 0.5)),
             workers=int(sweep.get("workers", 1)),
             csv_path=out.get("csv"),
             json_path=out.get("json"),
@@ -162,8 +150,10 @@ def config_digest(config: SweepConfig) -> str:
         "n_list": list(config.n_list),
         "nodes_per_wavelength": config.nodes_per_wavelength,
         "nodes_per_panel": NODES_PER_PANEL,
-        "eigen_tol": config.eigen_tol,
-        "fit_fraction": config.fit_fraction,
+        # the fixed eigenvalue tolerance and fit fraction, kept in the payload so
+        # that hashes of outputs written when both were settings still match
+        "eigen_tol": 1e-10,
+        "fit_fraction": 0.5,
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -200,10 +190,8 @@ def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
     system = SystemConfig(config.rho, n)
     grid = fermi_grid(V, system.L, system.nu, config.nodes_per_wavelength)
-    res: AndersonResult = anderson_result(n, V, system.L, grid, tol=config.eigen_tol)
-    return SweepRow(
-        n, system.L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok"
-    )
+    res = anderson_result(n, V, system.L, grid)
+    return SweepRow(n, system.L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok")
 
 
 def _safe_row(config: SweepConfig, n: int) -> SweepRow:
@@ -215,9 +203,9 @@ def _safe_row(config: SweepConfig, n: int) -> SweepRow:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute the sweep, fit the Anderson integral against log N over the
-    configured upper window, and attach the three analytic gamma values."""
+    upper half of the good rows (at least three), and add the three gammas."""
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(config.n_list))) as pool:
             futures = {n: pool.submit(_safe_row, config, n) for n in config.n_list}
             rows = [futures[n].result() for n in config.n_list]
     else:
@@ -226,7 +214,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     good = [r for r in rows if r.status == "ok"]
     if len(good) < 3:
         raise RuntimeError(f"fit needs at least 3 successful rows, got {len(good)}")
-    n_window = max(3, int(math.ceil(config.fit_fraction * len(good))))
+    n_window = max(3, (len(good) + 1) // 2)
     window = good[-n_window:]
     logs = np.log([r.n for r in window])
     vals = np.array([r.anderson for r in window])

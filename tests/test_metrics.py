@@ -92,7 +92,7 @@ class TestAndersonIntegral:
         from orthocat.metrics import OverlapMatrix
 
         grid = build_grid(L, math.pi * (K + 1) / (2 * L), support=(-1.0, 1.0))
-        mus, psi, walls = eigenpairs(K, well_attractive, L, grid, tol=1e-10)
+        mus, psi, walls = eigenpairs(K, well_attractive, L, grid)
         psi = box_samples(psi, walls, mus, well_attractive, grid)
         phi = free_eigenfunction_matrix(N, L, grid.nodes)
         wide = (phi * grid.weights) @ psi.T  # N x K overlaps
@@ -171,6 +171,15 @@ class TestAndersonResult:
         N, L, grid, _ = weak_instance
         res = anderson_result(N, well_weak, L, grid)
         assert res.m == N
+
+    def test_box_comes_from_L_not_the_grid(self, well_attractive):
+        # the grid gives only its support nodes, so a grid built for a wider
+        # box changes nothing; eigenfunctions in the grid's box would give
+        # I = 4.90 and a defect of 2.16
+        N, L = 10, 5.25
+        wide = anderson_result(N, well_attractive, L, grid_for(10.0))
+        assert wide == anderson_result(N, well_attractive, L, grid_for(L))
+        assert wide.anderson_integral == pytest.approx(1.5748e-3, rel=1e-4)
 
 
 class TestDetBounds:

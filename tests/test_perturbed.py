@@ -220,6 +220,16 @@ class TestMinMaxBracket:
         with pytest.raises(SolverFailure, match=r"eigenvalues \[2, 5\]"):
             perturbed_eigenvalues([2, 5], square_well(-0.5, 1.0), 2.0)
 
+    @pytest.mark.parametrize("shift", [math.pi, -math.pi], ids=["+pi", "-pi"])
+    def test_phase_off_by_pi_raises(self, shift, monkeypatch):
+        # at L = 20.25 each bracket holds several levels, so the bracket signs
+        # miss a shift of +pi (mu_1 and mu_4 come back); the phase below the
+        # lowest level, which must lie in (0, pi), catches it
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases", lambda *args: phases(*args) + shift)
+        with pytest.raises(SolverFailure):
+            perturbed_eigenvalues([2, 5], square_well(-0.5, 1.0), self.L)
+
     def test_batched_well_phase_passes(self, monkeypatch):
         # N = 200 acceptance-sweep row: one bracket pass, then Illinois
         calls = []

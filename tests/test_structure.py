@@ -2,12 +2,14 @@
 sources with ast and, for imports, from a fresh process."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import orthocat
+from orthocat.sweep import CONFIG_KEYS, SweepConfig
 
 SRC = Path(orthocat.__file__).parent
 
@@ -67,3 +69,47 @@ def _reads_environment(path):
 def test_no_module_reads_the_environment():
     # every setting is a config key or a command-line flag
     assert sorted(path.name for path in SRC.glob("*.py") if _reads_environment(path)) == []
+
+
+def _defaulted_parameters(path):
+    """module.function.parameter for every parameter with a default of a
+    public module-level function."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+            names += [arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+            yield from (f"{path.stem}.{node.name}.{name}" for name in names)
+
+
+_NEEDS_A_CALLER = "a new setting needs a caller that varies it; otherwise make it a constant"
+
+
+def test_settings_surface_is_pinned():
+    defaulted = sorted(name for path in SRC.glob("*.py") for name in _defaulted_parameters(path))
+    assert defaulted == [
+        "cli.cli_main.argv",
+        "core.build_grid.nodes_per_wavelength",
+        "core.fermi_grid.nodes_per_wavelength",
+        "core.potential_norms.grid",
+        "metrics.det_bounds.result",
+        "operators.birman_schwinger.L",
+        "operators.bounds_audit.result",
+        "operators.bounds_audit.s_samples",
+        "operators.omega_operator.L",
+        "operators.omega_operator.nu",
+        "perturbed.perturbed_eigenvalue.tol",
+        "perturbed.perturbed_eigenvalues.tol",
+        "perturbed.prufer_phase.tol",
+    ], _NEEDS_A_CALLER
+    assert [field.name for field in dataclasses.fields(SweepConfig)] == [
+        "potential", "rho", "n_list", "nodes_per_wavelength", "workers", "csv_path", "json_path",
+    ], _NEEDS_A_CALLER
+    assert CONFIG_KEYS == {
+        "potential": ("family", "v0", "a", "sigma", "abscissae", "values"),
+        "sweep": ("rho", "n_list", "workers"),
+        "grid": ("nodes_per_wavelength",),
+        "output": ("csv", "json"),
+    }, _NEEDS_A_CALLER

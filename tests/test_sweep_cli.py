@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -55,17 +56,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(8, 5))
         with pytest.raises(ConfigurationError):
-            SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(5, 8), eigen_tol=2.0)
-        with pytest.raises(ConfigurationError):
             SweepConfig(potential=WELL_SPEC, rho=1.0, n_list=(5, 8), workers=0)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "sweep.toml"
         path.write_text(
             "[potential]\nfamily = square_well\nv0 = -0.5\na = 1.0\n\n"
-            "[sweep]\nrho = 1.0\nn_list = 5,8,12\nfit_fraction = 0.5\n\n"
+            "[sweep]\nrho = 1.0\nn_list = 5,8,12\n\n"
             "[grid]\nnodes_per_wavelength = 16\n\n"
-            "[tolerances]\neigen_tol = 1e-10\n\n"
             f"[output]\ncsv = {tmp_path}/o.csv\njson = {tmp_path}/o.json\n"
         )
         cfg = load_config(str(path))
@@ -281,10 +279,12 @@ CONFIG_HEAD = ("[potential]\nfamily = square_well\nv0 = -0.5\na = 1.0\n\n"
 
 class TestSettings:
     @pytest.mark.parametrize("extra, named", [
-        ("\n[tolerances]\neigen_tl = 1e-12\n", "[tolerances] eigen_tl"),
+        ("\n[tolerances]\neigen_tl = 1e-12\n", "[tolerances]"),
         ("\n[grid]\nnodes_per_panel = 12\n", "[grid] nodes_per_panel"),
         ("\n[solver]\ntol = 1e-12\n", "[solver]"),
         ("fit_fracton = 0.5\n", "[sweep] fit_fracton"),
+        ("\n[tolerances]\neigen_tol = 1e-10\n", "[tolerances]"),
+        ("fit_fraction = 0.5\n", "[sweep] fit_fraction"),
     ])
     def test_unknown_config_entries_rejected(self, tmp_path, capsys, extra, named):
         path = tmp_path / "s.toml"
@@ -297,8 +297,8 @@ class TestSettings:
     def test_every_documented_key_accepted(self, tmp_path):
         path = tmp_path / "s.toml"
         path.write_text(
-            CONFIG_HEAD + "fit_fraction = 0.5\nworkers = 1\n\n"
-            "[grid]\nnodes_per_wavelength = 16\n\n[tolerances]\neigen_tol = 1e-10\n\n"
+            CONFIG_HEAD + "workers = 1\n\n"
+            "[grid]\nnodes_per_wavelength = 16\n\n"
             f"[output]\ncsv = {tmp_path}/o.csv\njson = {tmp_path}/o.json\n")
         assert load_config(str(path)).json_path.endswith("o.json")
 
@@ -308,7 +308,7 @@ class TestSettings:
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
         cfg = load_config(str(path))
         assert cfg.n_list == (50, 100, 200, 400, 800)
-        assert cfg.fit_fraction == 0.5
+        assert cfg.nodes_per_wavelength == 16
         assert potential_from_spec(cfg.potential).vmin == -0.5
 
     def test_non_positive_n_rejected(self):
@@ -335,6 +335,56 @@ class TestSettings:
         code = cli_main(flags + ["--potential", "square_well", "--v0", "0.1", "--a", "1"])
         assert named in capsys.readouterr().err
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, named", [
+        (["gamma", "--nu", "9.87", "--v0", "nan"], "potential values must be finite"),
+        (["gamma", "--nu", "9.87", "--v0", "inf"], "potential values must be finite"),
+        (["gamma", "--nu", "inf", "--v0", "0.1"], "--nu must be positive and finite"),
+        (["anderson", "--N", "5", "--rho", "nan", "--v0", "0.1"], "density must be positive"),
+        (["anderson", "--N", "5", "--rho", "inf", "--v0", "0.1"], "density must be positive"),
+        (["spectrum", "--L", "inf", "--v0", "0.1"], "--L must be positive and finite"),
+        (["gamma", "--nu", "9.87", "--potential", "gaussian_truncated", "--v0", "0.1",
+          "--sigma", "nan"], "potential values must be finite"),
+        (["gamma", "--nu", "9.87", "--potential", "table", "--abscissae=-1,0,1",
+          "--values", "0,nan,0"], "potential values must be finite"),
+    ], ids=["v0=nan", "v0=inf", "nu=inf", "rho=nan", "rho=inf", "L=inf", "sigma=nan",
+            "table=nan"])
+    def test_non_finite_input_exits_2(self, capsys, argv, named):
+        # the potential flags come first, so argv's own --potential wins
+        code = cli_main(argv[:1] + ["--potential", "square_well", "--a", "1"] + argv[1:])
+        assert named in capsys.readouterr().err
+        assert code == 2
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_sweep_density_rejected(self, rho):
+        with pytest.raises(ConfigurationError, match="density must be positive"):
+            SweepConfig(potential=WELL_SPEC, rho=rho, n_list=(5, 8, 12))
+
+    def test_pool_capped_at_row_count(self, tmp_path, monkeypatch):
+        # forking starts every worker at the first submit, so a pool larger
+        # than the row count would only start idle processes
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlinePool)
+        result = run_sweep(make_config(tmp_path, workers=5000))
+        assert sizes == [3]
+        assert [r.status for r in result.rows] == ["ok"] * 3
 
     def test_sweep_flags_override_config(self, tmp_path, capsys):
         path = tmp_path / "s.toml"

@@ -206,6 +206,20 @@ def _panelize(breaks, widths):
     )
 
 
+def _box_support(L, wavenumber_hint, support, nodes_per_wavelength):
+    """Check a grid's parameters; the support (lo, hi) clipped to [-L, L]."""
+    if L <= 0:
+        raise ConfigurationError("box half-length must be positive")
+    if wavenumber_hint <= 0:
+        raise ConfigurationError("wavenumber hint must be positive")
+    if nodes_per_wavelength < 8:
+        raise ConfigurationError("need at least 8 nodes per wavelength")
+    lo, hi = float(support[0]), float(support[1])
+    if lo < -L - 1e-12 or hi > L + 1e-12 or lo >= hi:
+        raise ConfigurationError(f"support [{lo}, {hi}] not inside [-{L}, {L}]")
+    return max(lo, -L), min(hi, L)
+
+
 def build_grid(L: float, wavenumber_hint: float, support,
                nodes_per_wavelength: int = 16) -> Grid:
     """Composite Gauss-Legendre grid on [-L, L] resolving oscillations at the
@@ -219,17 +233,7 @@ def build_grid(L: float, wavenumber_hint: float, support,
     panels are NODES_PER_PANEL times the base width, which still places
     nodes_per_wavelength quadrature nodes on each oscillation.
     """
-    if L <= 0:
-        raise ConfigurationError("box half-length must be positive")
-    if wavenumber_hint <= 0:
-        raise ConfigurationError("wavenumber hint must be positive")
-    if nodes_per_wavelength < 8:
-        raise ConfigurationError("need at least 8 nodes per wavelength")
-    lo, hi = float(support[0]), float(support[1])
-    if lo < -L - 1e-12 or hi > L + 1e-12 or lo >= hi:
-        raise ConfigurationError(f"support [{lo}, {hi}] not inside [-{L}, {L}]")
-    lo, hi = max(lo, -L), min(hi, L)
-
+    lo, hi = _box_support(L, wavenumber_hint, support, nodes_per_wavelength)
     wavelength = 2.0 * math.pi / wavenumber_hint
     fine = 0.5 * wavelength / nodes_per_wavelength
     coarse = NODES_PER_PANEL * wavelength / nodes_per_wavelength
@@ -258,13 +262,23 @@ def _support(V: Potential, grid: Grid):
     return grid.nodes[mask], grid.weights[mask]
 
 
+def _break_panels(V: Potential, width: float) -> Grid:
+    """Gauss panels no wider than ``width`` on the support of V, broken at ``V.breaks``."""
+    return Grid(*_panelize(V.breaks, [width] * (len(V.breaks) - 1)))
+
+
 def support_quadrature(V: Potential) -> Grid:
-    """Quadrature covering exactly the support of V in panels of at most a
-    sixteenth of its width, with panel boundaries at ``V.breaks`` so
-    piecewise-smooth families integrate cleanly."""
-    width = 2.0 * V.a / 16
-    nodes, weights, bounds = _panelize(V.breaks, [width] * (len(V.breaks) - 1))
-    return Grid(nodes, weights, bounds)
+    """``_break_panels`` no wider than a sixteenth of the support."""
+    return _break_panels(V, 2.0 * V.a / 16)
+
+
+def row_quadrature(V: Potential, L: float, nu: float, nodes_per_wavelength: int) -> Grid:
+    """A row's support quadrature in the box [-L, L]: ``_break_panels`` at ``build_grid``'s density
+    off the support, at the largest local wavenumber or decay rate sqrt(nu + sup |V|).  Raises
+    ``build_grid``'s ``ConfigurationError`` unless [-a, a] lies in [-L, L]."""
+    k = math.sqrt(nu + V.sup_abs)
+    _box_support(L, k, (-V.a, V.a), nodes_per_wavelength)
+    return _break_panels(V, NODES_PER_PANEL * 2.0 * math.pi / (k * nodes_per_wavelength))
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,17 @@
 problems, the Anderson integral, the transition probability, and the
 determinant sandwich bounds.
 
-One singular value decomposition of the N x N overlap block gives all three
-numbers: with s the singular values, I = sum(1 - s^2), ln D = sum ln s^2 and
-the projection defect is max |1 - s^2|.  Since ln s^2 <= s^2 - 1 the
-Anderson inequality ln D <= -I holds term by term.  The transition
-probability decays like a power of N and underflows quickly, so it is
-carried in log space and all inequalities are compared on logarithms.
+Three reads of the N x N overlap block A give the three numbers, none an SVD: I = N - |A|_F^2,
+ln D = 2 ln |det A| from one LU, and the projection defect max |1 - s^2| over the singular values
+s of A from a block iteration.  Since ln s^2 <= s^2 - 1 the Anderson inequality ln D <= -I holds
+term by term.  The transition probability decays like a power of N and underflows quickly, so it
+is carried in log space and all inequalities are compared on logarithms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +33,8 @@ __all__ = [
     "det_bounds",
 ]
 
+_DEFECT_ITERATIONS = 50  # the iteration cap of defect_norm
+
 
 @dataclass(frozen=True)
 class OverlapMatrix:
@@ -43,20 +43,15 @@ class OverlapMatrix:
     n: int
     matrix: np.ndarray
 
-    @cached_property
-    def squared_singular_values(self) -> np.ndarray:
-        """s^2 for the singular values s of the n x n block."""
-        return np.linalg.svd(self.matrix[:, : self.n], compute_uv=False) ** 2
-
 
 def overlap_matrix(n: int, V: Potential, L: float, grid: Grid) -> OverlapMatrix:
     """Overlap matrix (phi_j, psi_k) in the box [-L, L] as the quadrature of
     phi_j psi_k on the grid's support nodes plus the exact integrals over the
-    two field-free ends; the grid gives only its support nodes.  There phi_j
-    is +-sin(p_j u)/sqrt(L), p_j = pi j / 2L, with sign s_j =
-    ``_free_boundary_sign(j)`` at the left wall and (-1)^(j+1) s_j at the
-    right one, and psi_k is its wall amplitude times w_k(u), so each end adds
-    the amplitudes' product times int sin(p_j u) w_k of ``_wall_integrals``."""
+    two field-free ends; the grid gives only its support nodes, all that a row's
+    ``row_quadrature`` has.  There phi_j is +-sin(p_j u)/sqrt(L), p_j = pi j / 2L,
+    with sign s_j = ``_free_boundary_sign(j)`` at the left wall and (-1)^(j+1) s_j
+    at the right one, and psi_k is its wall amplitude times w_k(u), so each end
+    adds the amplitudes' product times int sin(p_j u) w_k of ``_wall_integrals``."""
     mus, psi, walls = eigenpairs(n, V, L, grid)
     x, w = _support(V, grid)
     j = np.arange(1, n + 1)
@@ -66,19 +61,17 @@ def overlap_matrix(n: int, V: Potential, L: float, grid: Grid) -> OverlapMatrix:
 
 
 def anderson_integral(overlap: OverlapMatrix) -> float:
-    """sum(1 - s^2) = N - |A|_F^2 over the N x N overlap block; the infinite
-    tail over unoccupied perturbed modes is eliminated by completeness of the
-    perturbed basis."""
-    return float(np.sum(1.0 - overlap.squared_singular_values))
+    """N - |A|_F^2 over the N x N overlap block A, summed as sum_k (1 - |A e_k|^2);
+    completeness of the perturbed basis removes the tail over unoccupied modes."""
+    a = overlap.matrix[:, : overlap.n]
+    return float(np.sum(1.0 - np.sum(a * a, axis=0)))
 
 
 def log_transition_probability(overlap: OverlapMatrix) -> float:
-    """log |det A|^2 = sum ln s^2; -inf if the matrix is numerically
-    singular."""
-    s2 = overlap.squared_singular_values
-    if np.any(s2 == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(s2)))
+    """log |det A|^2 = 2 log |det A| from one LU (``numpy.linalg.slogdet``);
+    -inf if a pivot is zero."""
+    sign, log_det = np.linalg.slogdet(overlap.matrix[:, : overlap.n])
+    return -math.inf if sign == 0 else 2.0 * float(log_det)
 
 
 def transition_probability(overlap: OverlapMatrix) -> float:
@@ -88,8 +81,22 @@ def transition_probability(overlap: OverlapMatrix) -> float:
 
 
 def defect_norm(overlap: OverlapMatrix) -> float:
-    """Spectral norm of 1 - A A^T, max |1 - s^2|."""
-    return float(np.max(np.abs(1.0 - overlap.squared_singular_values)))
+    """Spectral norm of 1 - A^T A, max |1 - s^2|: the top |Ritz value| theta of subspace iteration
+    on B = 1 - A^T A (min(8, N) columns, fixed seed, Rayleigh-Ritz each step), a lower bound, once
+    its Ritz vector u has |B u - theta u| <= 1e-12 |theta| + N eps, so an eigenvalue of B lies that
+    close.  A top cluster (a strong barrier's) may not settle: past ``_DEFECT_ITERATIONS`` the
+    dense eigenvalues of B answer, formed from E = A - 1 as -(E + E^T + E^T E)."""
+    a, n = overlap.matrix[:, : overlap.n], overlap.n
+    y = np.random.default_rng(0).standard_normal((n, min(8, n)))
+    for _ in range(_DEFECT_ITERATIONS):
+        q = np.linalg.qr(y)[0]
+        y = q - a.T @ (a @ q)
+        theta, u = np.linalg.eigh(q.T @ y)
+        i = int(np.argmax(np.abs(theta)))
+        if np.linalg.norm((y - theta[i] * q) @ u[:, i]) <= 1e-12 * abs(theta[i]) + n * np.finfo(float).eps:
+            return float(abs(theta[i]))
+    e = a - np.eye(n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(-(e + e.T + e.T @ e)))))
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,7 @@ class AndersonResult:
 
 def anderson_result(n: int, V: Potential, L: float, grid: Grid) -> AndersonResult:
     """The (N, rho) instance of N particles in the box [-L, L], from one
-    overlap matrix; the grid gives only its support nodes."""
+    overlap matrix and no SVD; the grid gives only its support nodes."""
     ov = overlap_matrix(n, V, L, grid)
     log_d = log_transition_probability(ov)
     return AndersonResult(

@@ -369,10 +369,10 @@ def _eigenfunctions(ks, mus, V: Potential, L: float, grid: Grid):
     return psi * walls[0][:, None], walls, mismatch / norms
 
 
-def perturbed_eigenfunction(k: int, mu: float, V: Potential, grid: Grid) -> PerturbedEigenpair:
-    """Normalized eigenfunction of an accepted eigenvalue in the grid's box:
-    samples at its support nodes and the amplitudes of its two wall solutions."""
-    psi, walls, res = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, grid.half_length, grid)
+def perturbed_eigenfunction(k: int, mu: float, V: Potential, L: float, grid: Grid) -> PerturbedEigenpair:
+    """Normalized eigenfunction of an accepted eigenvalue in the box [-L, L]: samples
+    at the grid's support nodes and the amplitudes of its two wall solutions."""
+    psi, walls, res = _eigenfunctions(np.array([k]), np.array([float(mu)]), V, L, grid)
     return PerturbedEigenpair(k, mu, psi[0], walls[:, 0], float(res[0]))
 
 

@@ -25,6 +25,7 @@ from .core import (
     SystemConfig,
     fermi_grid,
     gaussian_truncated,
+    row_quadrature,
     smallness_report,
     square_well,
     table_potential,
@@ -189,8 +190,7 @@ class SweepResult:
 def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
     system = SystemConfig(config.rho, n)
-    grid = fermi_grid(V, system.L, system.nu, config.nodes_per_wavelength)
-    res = anderson_result(n, V, system.L, grid)
+    res = anderson_result(n, V, system.L, row_quadrature(V, system.L, system.nu, config.nodes_per_wavelength))
     return SweepRow(n, system.L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok")
 
 

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from orthocat import metrics
-from orthocat.core import potential_norms, scale_potential, square_well
+from orthocat.core import (gaussian_truncated, potential_norms, row_quadrature,
+                           scale_potential, square_well, table_potential)
 from orthocat.free import free_eigenvalues
 from orthocat.metrics import (
     anderson_integral,
@@ -209,3 +211,73 @@ class TestDetBounds:
         _, _, _, ov = weak_instance
         gap = np.eye(ov.n) - ov.matrix @ ov.matrix.T
         assert defect_norm(ov) == pytest.approx(float(np.linalg.norm(gap, 2)), rel=1e-10)
+
+
+FACTOR_POTENTIALS = {
+    "well": square_well(-0.5, 1.0),
+    "gaussian": gaussian_truncated(-0.5, 0.5, 1.5),
+    "table": table_potential([-1.5, -0.77, 0.31, 1.5], [0.0, 0.6, -0.4, 0.0]),
+    "barrier20": square_well(20.0, 1.0),
+    "well20": square_well(-20.0, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_overlap(name, n):
+    """A row's overlap at unit density in a box that holds the support at every N."""
+    V = FACTOR_POTENTIALS[name]
+    L = (n + 0.5) / 2.0 + V.a
+    return overlap_matrix(n, V, L, row_quadrature(V, L, math.pi**2, 16))
+
+
+def _gaps(a):
+    """1 - s^2 over the singular values s of A, as the eigenvalues of
+    1 - A^T A formed from E = A - 1, -(E + E^T + E^T E), so that no entry
+    loses digits to 1 - (A^T A)_kk.  The singular values of numpy's SVD of A
+    miss I by 1.3-1.9e-10 relative on the table at N = 800, against an
+    extended-precision N - |A|_F^2; these agree with it to 6e-13."""
+    e = a - np.eye(len(a))
+    return np.linalg.eigvalsh(-(e + e.T + e.T @ e))
+
+
+class TestFactorization:
+    """I, ln D and the defect from |A|_F^2, one LU and a block iteration,
+    against the same three numbers from the singular values."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 200, 800])
+    @pytest.mark.parametrize("name", list(FACTOR_POTENTIALS))
+    def test_matches_singular_values(self, name, n):
+        ov = _row_overlap(name, n)
+        gaps = _gaps(ov.matrix)
+        assert log_transition_probability(ov) == pytest.approx(np.sum(np.log1p(-gaps)), rel=1e-10)
+        assert anderson_integral(ov) == pytest.approx(np.sum(gaps), rel=1e-10)
+        ref = np.max(np.abs(gaps))
+        assert abs(defect_norm(ov) - ref) <= 1e-12 * ref + 1e-15
+
+    @pytest.mark.parametrize("n", [1, 9, 200, 800])
+    def test_free_case_settles(self, n):
+        L = (n + 0.5) / 2.0 + 1.0
+        ov = overlap_matrix(n, V_FREE, L, row_quadrature(V_FREE, L, math.pi**2, 16))
+        assert defect_norm(ov) < 1e-12
+
+    def test_reruns_are_bit_identical(self):
+        ov = _row_overlap("gaussian", 200)
+        reads = (anderson_integral, log_transition_probability, defect_norm)
+        assert [f(ov).hex() for f in reads] == [f(ov).hex() for f in reads]
+
+    def test_clustered_top_falls_back_to_dense(self, monkeypatch):
+        # A = Q diag(s) with twelve 1 - s^2 within 1e-9 of 0.5 on top: lambda_9 / lambda_1
+        # is 1 - 8e-9, so no 8-column iteration settles, and the dense eigenvalues answer
+        rng = np.random.default_rng(7)
+        gaps = np.concatenate([0.5 * (1.0 - 1e-9 * np.arange(12)), 1e-3 * rng.random(28)])
+        q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        ov = metrics.OverlapMatrix(40, q * np.sqrt(1.0 - gaps))
+        assert defect_norm(ov) == pytest.approx(0.5, rel=1e-12)
+        monkeypatch.setattr(metrics, "_DEFECT_ITERATIONS", 1)
+        assert defect_norm(ov) == pytest.approx(0.5, rel=1e-12)
+
+    def test_iteration_cap_falls_back_to_dense(self, monkeypatch):
+        ov = _row_overlap("well", 8)
+        settled = defect_norm(ov)
+        monkeypatch.setattr(metrics, "_DEFECT_ITERATIONS", 1)
+        assert defect_norm(ov) == pytest.approx(settled, rel=1e-12)

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from orthocat import perturbed
 from orthocat.core import (SolverFailure, SystemConfig, fermi_grid, gaussian_truncated,
-                           potential_norms, square_well, table_potential)
+                           potential_norms, row_quadrature, square_well, table_potential)
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
 from orthocat.metrics import anderson_result
 from orthocat.perturbed import (
@@ -271,8 +271,8 @@ class TestWallMatching:
     def test_bound_state_residual_measures_eigenvalue_error(self, V):
         grid = fermi_grid(V, self.L, math.pi**2)
         mu = perturbed_eigenvalue(1, V, self.L)
-        assert perturbed_eigenfunction(1, mu, V, grid).endpoint_residual < 1e-12
-        off = perturbed_eigenfunction(1, mu * (1 + 1e-8), V, grid).endpoint_residual
+        assert perturbed_eigenfunction(1, mu, V, self.L, grid).endpoint_residual < 1e-12
+        off = perturbed_eigenfunction(1, mu * (1 + 1e-8), V, self.L, grid).endpoint_residual
         assert off > 1e-10
 
 
@@ -448,7 +448,7 @@ class TestPerturbedEigenfunction:
         grid = grid_for(L)
         for k in (2, 7, 10):
             mu = perturbed_eigenvalue(k, well_attractive, L)
-            pair = perturbed_eigenfunction(k, mu, well_attractive, grid)
+            pair = perturbed_eigenfunction(k, mu, well_attractive, L, grid)
             assert pair.endpoint_residual < 1e-6 * np.max(np.abs(pair.psi))
 
     def test_orthonormal_family(self, well_attractive):
@@ -463,16 +463,31 @@ class TestPerturbedEigenfunction:
         L = 3.0
         grid = grid_for(L, a=1.5)
         mu = perturbed_eigenvalue(3, gauss_bump, L)
-        pair = perturbed_eigenfunction(3, mu, gauss_bump, grid)
+        pair = perturbed_eigenfunction(3, mu, gauss_bump, L, grid)
         psi = box_samples(pair.psi, pair.walls, mu, gauss_bump, grid)[0]
         assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("V", [square_well(-0.5, 1.0), gaussian_truncated(0.3, 0.5, 1.5)],
+                             ids=["well", "gaussian"])
+    def test_support_only_grid_gives_the_box_grid_state(self, V):
+        # the box comes from L, not from the grid: a grid on the support alone
+        # (half_length = a) gives the state that a grid on [-L, L] gives
+        L = 20.25
+        box, support = fermi_grid(V, L, math.pi**2), row_quadrature(V, L, math.pi**2, 16)
+        assert support.half_length == V.a
+        for k in (1, 2, 7, 20):
+            mu = perturbed_eigenvalue(k, V, L)
+            on_box, on_support = (perturbed_eigenfunction(k, mu, V, L, g) for g in (box, support))
+            assert on_support.mu == on_box.mu
+            np.testing.assert_allclose(on_support.walls, on_box.walls, rtol=1e-12, atol=0)
+            assert on_support.endpoint_residual == pytest.approx(on_box.endpoint_residual, abs=1e-12)
 
     def test_negative_energy_mode_normalizable(self, well_attractive):
         L = 20.0
         grid = grid_for(L)
         mu = perturbed_eigenvalue(1, well_attractive, L)
         assert mu < 0
-        pair = perturbed_eigenfunction(1, mu, well_attractive, grid)
+        pair = perturbed_eigenfunction(1, mu, well_attractive, L, grid)
         psi = box_samples(pair.psi, pair.walls, mu, well_attractive, grid)[0]
         assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
         assert np.all(np.isfinite(psi))

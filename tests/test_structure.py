@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import orthocat
+from orthocat import sweep
 from orthocat.sweep import CONFIG_KEYS, SweepConfig
 
 SRC = Path(orthocat.__file__).parent
@@ -30,6 +31,40 @@ def test_no_module_imports_scipy_integrate():
                    if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
                           for name in _imports(path)))
     assert users == []
+
+
+_SVD_ROUTINES = {"svd", "svdvals"}
+
+
+def _calls_an_svd(path):
+    """Whether a module calls a routine named svd or svdvals, as an attribute
+    (``np.linalg.svd``) or by a bare name."""
+    return any(isinstance(node, ast.Call)
+               and (getattr(node.func, "attr", None) in _SVD_ROUTINES
+                    or getattr(node.func, "id", None) in _SVD_ROUTINES)
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_no_module_calls_an_svd():
+    # a row reads I, ln D and the defect off |A|_F^2, one LU and a block
+    # iteration; the audit's dense 2-norms go through numpy.linalg.norm
+    assert sorted(path.name for path in SRC.glob("*.py") if _calls_an_svd(path)) == []
+
+
+def test_sweep_rows_read_the_support_alone(monkeypatch):
+    # every row of a sweep on the README well gets a quadrature inside [-a, a],
+    # not a grid on its box
+    boundaries, row = [], sweep.anderson_result
+
+    def recording(n, V, L, grid):
+        boundaries.append(grid.panel_boundaries)
+        return row(n, V, L, grid)
+
+    monkeypatch.setattr(sweep, "anderson_result", recording)
+    sweep.run_sweep(SweepConfig(potential={"family": "square_well", "v0": "-0.5", "a": "1.0"},
+                                rho=1.0, n_list=(5, 10, 20)))
+    assert len(boundaries) == 3
+    assert all(b[0] >= -1.0 and b[-1] <= 1.0 for b in boundaries)
 
 
 _EVERY_ROUTE = """

@@ -8,7 +8,8 @@ import pytest
 
 import orthocat.sweep as sweep_mod
 from orthocat.cli import cli_main
-from orthocat.core import ConfigurationError
+from orthocat.core import ConfigurationError, SystemConfig, fermi_grid
+from orthocat.metrics import anderson_result
 from orthocat.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -405,3 +406,33 @@ class TestSettings:
         path.write_text(CONFIG_HEAD)
         assert cli_main(["sweep", "--config", str(path), "--n-list", "5,x"]) == 2
         capsys.readouterr()
+
+
+TABLE_SPEC = {"family": "table", "abscissae": "-1.5,-0.77,0.31,1.5", "values": "0,0.6,-0.4,0"}
+DEEP_WELL_SPEC = {"family": "square_well", "v0": "-100", "a": "1.0"}
+BARRIER_SPEC = {"family": "square_well", "v0": "100", "a": "1.0"}
+
+
+@pytest.mark.parametrize("spec, n, rel_i, rel_log_d", [
+    # the row's panels break at the table's knots; panels across the knots
+    # missed I by 2-3e-10 and the defect by 3e-8 relative
+    (TABLE_SPEC, 50, 1e-10, 1e-10),
+    (TABLE_SPEC, 200, 1e-10, 1e-10),
+    # they resolve sqrt(nu + 100) inside the well; sized from sqrt(nu) alone
+    # they missed I by 5-6e-10
+    (DEEP_WELL_SPEC, 50, 1e-10, 1e-10),
+    (DEEP_WELL_SPEC, 200, 1e-10, 1e-10),
+    # 1 - s^2 clusters near 1 (lambda_9 / lambda_1 = 0.97), so the defect comes
+    # from the dense fallback; the npw-64 and npw-128 box grids agree only to
+    # 4e-10 in I and 3e-9 in ln D, which sums ln s^2 over s near 0
+    (BARRIER_SPEC, 200, 1e-9, 1e-8),
+], ids=["table-50", "table-200", "deep_well-50", "deep_well-200", "barrier-200"])
+def test_rows_converge(spec, n, rel_i, rel_log_d):
+    # a row matches a box grid at npw 64
+    row = sweep_mod._run_row(SweepConfig(potential=spec, rho=1.0, n_list=(n,)), n)
+    V, system = potential_from_spec(spec), SystemConfig(1.0, n)
+    ref = anderson_result(n, V, system.L, fermi_grid(V, system.L, system.nu, 64))
+    assert row.status == "ok"
+    assert row.anderson == pytest.approx(ref.anderson_integral, rel=rel_i)
+    assert row.log_transition == pytest.approx(ref.log_transition, rel=rel_log_d)
+    assert row.defect == pytest.approx(ref.defect_norm, rel=5e-9)

@@ -19,13 +19,14 @@ stays smooth where theta(L, .) would jump by pi across an exponentially thin
 window.  Either way it is strictly increasing and equals k pi at mu_k.
 
 Across the support, (psi, psi') is advanced for many energies at once by the
-fourth-order Magnus step with two Gauss-Legendre points (Blanes, Casas, Oteo
-& Ros, Phys. Rep. 470, 2009), whose exponential of a traceless 2x2 matrix is
-closed form; the step is exact where V is constant.  Steps break at -a, 0, a
-and every knot of V.  A block of steps is applied by prefix products of its
-step matrices in log2(steps) array rounds, not one step at a time; each step
-turns the phase by less than pi, so it is unwrapped from atan2(sigma psi,
-psi') at every step end.
+sixth-order Magnus step with three Gauss-Legendre points (Blanes, Casas & Ros,
+BIT 40, 2000), whose exponential of a traceless 2x2 matrix is closed form; it
+is exact where V is constant.  Steps break at -a, 0, a and every knot of V,
+and their energy-free terms are built once per step set, for every pass.  A
+block of steps is applied by prefix products of its step matrices in
+log2(steps) array rounds, not one step at a time; each step turns the phase
+by less than pi, so it is unwrapped from atan2(sigma psi, psi') at every step
+end.
 
 All eigenvalues of a row come from one vectorized Illinois iteration inside
 the min-max brackets, and all eigenfunctions from one more pass that also
@@ -60,16 +61,16 @@ __all__ = [
     "counting_lower_bound",
 ]
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT15 = math.sqrt(15.0)
 _TWO_PI = 2.0 * math.pi
 # Largest h * sqrt(max |V - mu|) of a step.  The angle atan2(k psi, psi')
 # with k^2 >= |V - mu| turns at rate at most k, so a step crosses at most one
 # quadrant boundary, which every sigma convention shares; the Pruefer phase
 # therefore moves by less than pi per step.
 _STEP_PHASE = 1.0
-# Where V is not constant the step is also at most _STEP_SCALE * tol^(1/4),
-# the fourth-order rate.
-_STEP_SCALE = 3.0
+# Where V is not constant the step is also at most _STEP_SCALE * tol^(1/6),
+# the sixth-order rate.
+_STEP_SCALE = 1.2
 # Step-by-energy entries of a block, whose step matrices are held at once.
 _BLOCK = 1 << 12
 # count_below refuses E when theta(L, E) is this close to a multiple of pi.
@@ -79,6 +80,9 @@ _PHASE_TOL = 1e-8
 _SERIES = np.arange(12)
 _ODD_FACTORIALS = np.array([math.factorial(2 * n + 1) for n in _SERIES], dtype=float)
 _SERIES_WEIGHTS = 1.0 / (2 * _SERIES[:, None] + 2 * _SERIES + 3)
+# Energies (columns) of _wall_integrals' cross term filled at once, which
+# bounds its temporaries to O(wavenumbers x _COLUMNS).
+_COLUMNS = 256
 
 
 class AmbiguousEnergyError(ValueError):
@@ -123,63 +127,86 @@ def _wall_integrals(mus, d: float, p):
     (w, dw), r = _wall(mus, d), np.sqrt(np.abs(mus))
     x, pos, pc = 2.0 * r * d, mus > 0.0, p[:, None]
     sin_p, cos_p, sin_r, cos_r = np.sin(p * d), np.cos(p * d), np.sin(r * d), np.cos(r * d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = 0.5 * d * np.where(pos, 1.0 - np.sinc(x / np.pi), -np.expm1(-2.0 * x) / (2.0 * x) - np.exp(-x))
-        cross = np.where(pos, (np.minimum(pc, r) * d * np.sinc((pc - r) * (d / np.pi))
-                               - np.where(pc > r, np.outer(cos_p, sin_r), np.outer(sin_p, cos_r))) / (pc + r),
-                         (np.outer(sin_p, dw) - np.outer(p * cos_p, w)) / (pc * pc - mus))
     c2, small = np.where(pos, mus, np.where(mus < 0.0, -mus * np.exp(-x), 1.0)), r * d <= 1.0
     even = np.where(small, -mus * d * d, 0.0)[:, None] ** _SERIES / _ODD_FACTORIALS
+    odd = (-1.0) ** _SERIES * (p[:, None] * d) ** (2 * _SERIES + 1) / _ODD_FACTORIALS
+    cross = np.empty((p.size, mus.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = 0.5 * d * np.where(pos, 1.0 - np.sinc(x / np.pi), -np.expm1(-2.0 * x) / (2.0 * x) - np.exp(-x))
+        for s in range(0, mus.size, _COLUMNS):
+            b = slice(s, s + _COLUMNS)
+            rb = r[b]
+            cross[:, b] = np.where(pos[b], (np.minimum(pc, rb) * d * np.sinc((pc - rb) * (d / np.pi))
+                                            - np.where(pc > rb, np.outer(cos_p, sin_r[b]),
+                                                       np.outer(sin_p, cos_r[b]))) / (pc + rb),
+                                   (np.outer(sin_p, dw[b]) - np.outer(p * cos_p, w[b])) / (pc * pc - mus[b]))
+            j, k = np.nonzero((p * d <= 1.0)[:, None] & small[b])
+            k += s
+            cross[j, k] = d * d * np.sqrt(c2[k]) * np.einsum("em,mn,en->e", odd[j], _SERIES_WEIGHTS, even[k])
     sq[small] = (d**3 * c2 * np.einsum("km,mn,kn->k", even, _SERIES_WEIGHTS, even))[small]
-    j, k = np.nonzero((p * d <= 1.0)[:, None] & small)
-    odd = (-1.0) ** _SERIES * (p[j, None] * d) ** (2 * _SERIES + 1) / _ODD_FACTORIALS
-    cross[j, k] = d * d * np.sqrt(c2[k]) * np.einsum("em,mn,en->e", odd, _SERIES_WEIGHTS, even[k])
     return sq, cross
 
 
 def _mesh(V: Potential, a: float, emin: float, emax: float, tol: float, extra=None):
-    """Step points from -a to a for energies in [emin, emax], plus ``extra``.
+    """Step points from -a to a for energies in [emin, emax], plus ``extra``,
+    and the energy-free terms of their steps (``_steps``), as a pair.
 
     The breaks of V inside (-a, a), with -a and a, split the support into
     pieces on which V is smooth and monotone (see ``Potential``), so a piece
     whose ends carry the same value is constant and its steps are exact.
+    Elsewhere a step is at most _STEP_SCALE * tol^(1/6) wide, the local error
+    of the sixth-order step being O(h^7).
     """
     breaks = np.concatenate([[-a], V.breaks[np.abs(V.breaks) < a], [a]])
     flat = np.diff(V(breaks)) == 0.0
     spread = max(abs(V.vmax - emin), abs(V.vmin - emax))
     h_flat = _STEP_PHASE / math.sqrt(spread) if spread > 0.0 else math.inf
-    h_smooth = min(h_flat, _STEP_SCALE * tol**0.25)
+    h_smooth = min(h_flat, _STEP_SCALE * tol ** (1.0 / 6.0))
     pieces = []
     for lo, hi, f in zip(breaks[:-1], breaks[1:], flat):
         steps = max(1, math.ceil((hi - lo) / (h_flat if f else h_smooth)))
         pieces.append(np.linspace(lo, hi, steps + 1)[:-1])
     points = np.append(np.concatenate(pieces), a)
-    return points if extra is None else np.union1d(points, extra)
+    points = points if extra is None else np.union1d(points, extra)
+    return points, _steps(points, V)
 
 
-def _magnus(points, V: Potential, mus, u, p):
-    """Advance (psi, psi') of -psi'' + V psi = mu psi from points[0] to each
-    later point, for every energy in ``mus`` at once.
-
-    V is evaluated once, at the two Gauss-Legendre points of every step.
-    With q = V - mu the step is exp(Omega), Omega = [[c, h], [h qbar, -c]],
-    where qbar is the mean of q at the two points and c = sqrt(3)/12 h^2
-    (V1 - V2) does not depend on mu; exp(Omega) = C I + S Omega with
-    (C, S) = (cosh w, sinh w / w) for w^2 = c^2 + h^2 qbar >= 0 and the
-    trigonometric forms otherwise.  Yields the states (psi, psi') at the step
-    ends, a block of steps at a time, as arrays of shape (2, steps, energies).
-    """
+def _steps(points, V: Potential):
+    """Energy-free terms (v2, c0, c1, e, d0, d1) of the sixth-order Magnus
+    step across every interval of ``points``, an array (6, steps).  V is read
+    once, as v1, v2, v3 at the Gauss-Legendre points mid -+ sqrt(15)/10 h and
+    mid; the Blanes-Casas-Ros Omega for A = [[0, 1], [V - mu, 0]] then reduces
+    to these terms and q = v2 - mu (``_magnus``).  Where V is constant,
+    v1 = v2 = v3 leaves the exact Omega [[0, h], [h q, 0]]."""
     h = np.diff(points)
     mid = 0.5 * (points[1:] + points[:-1])
-    offset = (_SQRT3 / 6.0) * h
-    v1, v2 = np.split(V(np.concatenate([mid - offset, mid + offset])), 2)
-    c = (_SQRT3 / 12.0) * h * h * (v1 - v2)
+    offset = (_SQRT15 / 10.0) * h
+    v1, v2, v3 = np.split(V(np.concatenate([mid - offset, mid, mid + offset])), 3)
+    beta, gam = (_SQRT15 / 3.0) * h * (v3 - v1), (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
+    hbb, hhg = h**3 * beta**2 / 15.0, 4.0 * h * h * gam / 3.0
+    return np.array([v2, (-20.0 * h * beta + h * h * beta * gam / 30.0) / 240.0, h**3 * beta / 180.0,
+                     h + (hbb - hhg) / 240.0, gam / 12.0 + (h * gam**2 / 15.0 - 2.0 * h * beta**2) / 240.0,
+                     h + (hhg + hbb) / 240.0])
+
+
+def _magnus(steps, mus, u, p):
+    """Advance (psi, psi') of -psi'' + V psi = mu psi from the first step point
+    to each later one, for every energy in ``mus`` at once, by the steps of
+    ``_steps``.  With q = v2 - mu a step is exp(Omega) for
+    Omega = [[c, e], [d, -c]], c = c0 + c1 q and d = d0 + d1 q; exp(Omega) =
+    C I + S Omega with (C, S) = (cosh w, sinh w / w) for w^2 = c^2 + e d >= 0
+    and the trigonometric forms otherwise.  Yields the states (psi, psi') at
+    the step ends, a block of steps at a time, as arrays of shape
+    (2, steps, energies).
+    """
+    v2, c0, c1, e, d0, d1 = steps[:, :, None]
     block = max(1, _BLOCK // mus.size)
     x = np.array([u, p])[:, None]
-    for s in range(0, h.size, block):
-        hb, cb = h[s:s + block, None], c[s:s + block, None]
-        hq = hb * (0.5 * (v1[s:s + block] + v2[s:s + block])[:, None] - mus)
-        w2 = cb * cb + hb * hq
+    for s in range(0, v2.shape[0], block):
+        b = slice(s, s + block)
+        q = v2[b] - mus
+        c, eb, d = c0[b] + c1[b] * q, e[b], d0[b] + d1[b] * q
+        w2 = c * c + eb * d
         w = np.sqrt(np.abs(w2))
         grows = w2 > 0.0
         small = np.abs(w2) < 1e-8
@@ -187,8 +214,8 @@ def _magnus(points, V: Potential, mus, u, p):
         np.cosh(w, out=cosine, where=grows)
         np.sinh(w, out=sine, where=grows)
         sine = np.where(small, 1.0 + w2 / 6.0, sine / np.where(small, 1.0, w))
-        states = _advance(np.array([[cosine + sine * cb, sine * hb],
-                                    [sine * hq, cosine - sine * cb]]), x)
+        states = _advance(np.array([[cosine + sine * c, sine * eb],
+                                    [sine * d, cosine - sine * c]]), x)
         x = states[:, -1:]
         yield states
 
@@ -207,17 +234,17 @@ def _advance(m, x):
     return out
 
 
-def _phases(mus, V: Potential, L: float, points):
+def _phases(mus, L: float, mesh):
     """theta_left(a, mu) + phi_wall(L - a, mu) for every energy in ``mus``,
-    stepping through ``points`` across the support; it equals k pi exactly
-    at mu_k.  Only the running state and phase are kept."""
-    a = points[-1]
-    d = L - a
+    stepping through the ``_mesh`` pair across the support; it equals k pi
+    exactly at mu_k.  Only the running state and phase are kept."""
+    points, steps = mesh
+    d = L - points[-1]
     sigma = np.where(mus > 0.0, np.sqrt(np.abs(mus)), 1.0)
     w, dw = _wall(mus, d)
     wall = np.where(mus > 0.0, sigma * d, np.arctan2(w, dw))
     theta = last = wall
-    for us, ps in _magnus(points, V, mus, w, dw):
+    for us, ps in _magnus(steps, mus, w, dw):
         angles = np.arctan2(sigma * us, ps)
         turns = np.diff(angles, axis=0, prepend=last[None])
         theta = theta + np.sum(turns - _TWO_PI * np.round(turns / _TWO_PI), axis=0)
@@ -235,8 +262,7 @@ def prufer_phase(mu: float, V: Potential, L: float, tol: float = 1e-10) -> float
 
     ``tol`` sets the step width where V is not constant."""
     mu = float(mu)
-    points = _mesh(V, min(V.a, L), mu, mu, tol)
-    return float(_phases(np.array([mu]), V, L, points)[0])
+    return float(_phases(np.array([mu]), L, _mesh(V, min(V.a, L), mu, mu, tol))[0])
 
 
 def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
@@ -265,8 +291,8 @@ def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
     lo, hi = lam + min(V.vmin, 0.0) - pad, lam + max(V.vmax, 0.0) + pad
     lam1 = free_eigenvalue(1, L)
     floor = lam1 + min(V.vmin, 0.0) - 1e-3 * max(1.0, lam1)
-    points = _mesh(V, min(V.a, L), floor, hi.max(), max(1e-13, 0.01 * tol))
-    ends = _phases(np.concatenate([lo, hi, [floor]]), V, L, points)
+    mesh = _mesh(V, min(V.a, L), floor, hi.max(), max(1e-13, 0.01 * tol))
+    ends = _phases(np.concatenate([lo, hi, [floor]]), L, mesh)
     f_lo, f_hi = np.split(ends[:-1] - np.tile(target, 2), 2)
     bad = (f_lo >= 0.0) | (f_hi <= 0.0)
     if bad.any():
@@ -284,7 +310,7 @@ def _eigenvalues(ks, V: Potential, L: float, tol: float) -> np.ndarray:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         xtol_x = xtol + rtol * np.abs(x)
         x = np.clip(x, lo + 0.5 * xtol_x, hi - 0.5 * xtol_x)
-        fx = _phases(x, V, L, points) - target
+        fx = _phases(x, L, mesh) - target
         below = fx < 0.0
         # Illinois: halve the weight of an end that survives twice
         f_hi = np.where(below & (side < 0.0), 0.5 * f_hi, f_hi)
@@ -356,8 +382,8 @@ def _eigenfunctions(ks, mus, V: Potential, L: float, grid: Grid):
     a = min(V.a, L)
     x, weights = _support(V, grid)
     u, p = _wall(mus, L - a)
-    points = _mesh(V, a, mus.min(), mus.max(), 1e-12, x)
-    blocks = list(_magnus(points, V, mus, u, p))
+    points, steps = _mesh(V, a, mus.min(), mus.max(), 1e-12, x)
+    blocks = list(_magnus(steps, mus, u, p))
     psi_a, dpsi_a = blocks[-1][:, -1]
     s2 = np.where(mus > 0.0, mus, 1.0)
     beta = (psi_a * u - dpsi_a * p / s2) / (u * u + p * p / s2)

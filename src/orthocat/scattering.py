@@ -5,7 +5,7 @@ orthogonality exponent gamma(nu).
 Conventions (Deift-Trubowitz): for incidence from the left the wave is
 e^{ikx} + r1 e^{-ikx} on the left of the support and t e^{ikx} on the right;
 for incidence from the right, e^{-ikx} + r2 e^{ikx} on the right and
-t e^{-ikx} on the left.  The transfer matrix M comes from the fourth-order
+t e^{-ikx} on the left.  The transfer matrix M comes from the sixth-order
 Magnus pass of ``perturbed`` at mu = k^2, which is exact on constant pieces,
 and t, r1, r2 follow from its entries in closed form, using det M = 1.  A
 failed check raises ``core.SolverFailure``; on square barriers at k = pi the
@@ -55,14 +55,14 @@ def adaptive_ivp(V: Potential, k: float):
     for -u'' + V u = k^2 u, as two energies of one Magnus pass.
 
     Returns the final states as ``y``, shape (2, 2), and the number of
-    potential evaluations, two per step, as ``nfev``.  The pass is not
-    adaptive; the name stays because perfbench's tracer hooks
+    potential evaluations, three per step (its Gauss points), as ``nfev``.
+    The pass is not adaptive; the name stays because perfbench's tracer hooks
     ``scattering.adaptive_ivp`` and reads ``nfev`` for its ``odes.*`` counts.
     """
     mu = k * k
-    points = _mesh(V, V.a, mu, mu, _TOL)
-    *_, states = _magnus(points, V, np.full(2, mu), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return SimpleNamespace(y=states[:, -1], nfev=2 * (points.size - 1))
+    points, steps = _mesh(V, V.a, mu, mu, _TOL)
+    *_, states = _magnus(steps, np.full(2, mu), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return SimpleNamespace(y=states[:, -1], nfev=3 * (points.size - 1))
 
 
 def _transfer_matrix(V: Potential, k: float) -> np.ndarray:

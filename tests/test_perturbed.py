@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from orthocat import perturbed
-from orthocat.core import (SolverFailure, SystemConfig, fermi_grid, gaussian_truncated,
+from orthocat.core import (Potential, SolverFailure, SystemConfig, fermi_grid, gaussian_truncated,
                            potential_norms, row_quadrature, square_well, table_potential)
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
 from orthocat.metrics import anderson_result
@@ -310,6 +310,16 @@ class TestWallIntegrals:
         ref = _wall_integrals_reference(mu, d, ps)
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (got, ref)
 
+    def test_column_blocks_are_bit_identical(self, monkeypatch):
+        # energies on both sides of mu = 0 (0 itself included) and wavenumbers
+        # on both sides of p d = 1, so closed forms and series meet in every
+        # block of 7 columns, the last one partial
+        mus, p, d = np.linspace(-2.0, 3.0, 41), np.linspace(0.0, 3.0, 13), 2.0
+        whole = perturbed._wall_integrals(mus, d, p)
+        monkeypatch.setattr(perturbed, "_COLUMNS", 7)
+        blocked = perturbed._wall_integrals(mus, d, p)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
     def test_empty_end(self):
         mus = np.array([-0.3, -1e-10, 0.0, 1e-10, 0.3])
         square, cross = perturbed._wall_integrals(mus, 0.0, np.array([0.0, 1e-9, 1.0]))
@@ -319,22 +329,39 @@ class TestWallIntegrals:
 def _reference_states(points, V, mus, u, p):
     """(psi, psi') at every later point, one Magnus step at a time.
 
-    Same step as the solver (two Gauss-Legendre points), but its exponential
-    comes from complex cosh and sinh instead of the real branches, and the
-    steps are applied one after another."""
-    h = np.diff(points)[:, None]
-    mid = 0.5 * (points[1:] + points[:-1])[:, None]
-    v1, v2 = V(mid - math.sqrt(3) / 6 * h), V(mid + math.sqrt(3) / 6 * h)
-    c = math.sqrt(3) / 12 * h * h * (v1 - v2)
-    hq = h * (0.5 * (v1 + v2) - mus)
-    w = np.sqrt(c * c + h * hq + 0j)
+    Same step as the solver (sixth order, three Gauss-Legendre points), but
+    its Omega is the commutator form of Blanes, Casas & Ros (BIT 40, 2000)
+    taken with 2x2 matrix products, its exponential comes from complex cosh
+    and sinh instead of the real branches, and the steps are applied one
+    after another."""
+    h = np.diff(points)
+    mid = 0.5 * (points[1:] + points[:-1])
+
+    def generator(x):
+        # A = [[0, 1], [V - mu, 0]] at every step and energy, shape (steps, energies, 2, 2)
+        a = np.zeros((x.size, mus.size, 2, 2))
+        a[..., 0, 1] = 1.0
+        a[..., 1, 0] = V(x)[:, None] - mus
+        return a
+
+    def bracket(x, y):
+        return x @ y - y @ x
+
+    a1, a2, a3 = (generator(mid + s * math.sqrt(15) / 10 * h) for s in (-1, 0, 1))
+    hs = h[:, None, None, None]
+    alpha1, alpha2 = hs * a2, math.sqrt(15) / 3 * hs * (a3 - a1)
+    alpha3 = 10 / 3 * hs * (a3 - 2 * a2 + a1)
+    c1 = bracket(alpha1, alpha2)
+    c2 = -bracket(alpha1, 2 * alpha3 + c1) / 60
+    omega = alpha1 + alpha3 / 12 + bracket(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240
+    w = np.sqrt(omega[..., 0, 0] ** 2 + omega[..., 0, 1] * omega[..., 1, 0] + 0j)
     cosh = np.cosh(w).real
     sinhc = np.where(w == 0, 1.0, np.sinh(w) / np.where(w == 0, 1.0, w)).real
-    steps = zip(cosh + sinhc * c, sinhc * h, sinhc * hq, cosh - sinhc * c)
-    states = []
-    for m11, m12, m21, m22 in steps:
-        u, p = m11 * u + m12 * p, m21 * u + m22 * p
-        states.append((u, p))
+    steps = cosh[..., None, None] * np.eye(2) + sinhc[..., None, None] * omega
+    states, x = [], np.array([u, p]).T
+    for m in steps:
+        x = np.einsum("eij,ej->ei", m, x)
+        states.append(x.T)
     return np.transpose(states, (1, 0, 2))
 
 
@@ -358,11 +385,78 @@ class TestMagnusScan:
         points = np.linspace(-V.a, V.a, steps + 1)
         mus = np.linspace(lo, hi, width)
         u, p = np.random.default_rng(steps + width).normal(size=(2, width))
-        states = np.concatenate(list(perturbed._magnus(points, V, mus, u, p)), axis=1)
+        states = np.concatenate(list(perturbed._magnus(perturbed._steps(points, V), mus, u, p)), axis=1)
         ref = _reference_states(points, V, mus, u, p)
         assert states.shape == ref.shape == (2, steps, width)
         err = np.abs(states - ref).max(axis=0)
         assert np.all(err <= 1e-12 * np.hypot(*ref)), err.max()
+
+
+def _uniform_phases(V, steps, mus, L=5.25):
+    """The matching phase at ``mus`` with every piece between V's breaks cut
+    into ``steps`` equal steps."""
+    b = V.breaks
+    points = np.append(np.concatenate([np.linspace(lo, hi, steps + 1)[:-1] for lo, hi in zip(b[:-1], b[1:])]), b[-1])
+    return perturbed._phases(mus, L, (points, perturbed._steps(points, V)))
+
+
+class TestSixthOrderStep:
+    """The order of the Magnus step, its exactness on constant pieces, and
+    the step set it buys."""
+
+    THREE_KNOT = table_potential([-1.5, -0.77, 0.31, 1.5], [0.0, 0.6, -0.4, 0.0])
+
+    @pytest.mark.parametrize("V, steps", [(_seeded_table(1), [2, 4, 8, 16, 32]),
+                                          (gaussian_truncated(-0.5, 0.5, 1.5), [16, 32, 64, 128]),
+                                          (gaussian_truncated(20.0, 0.5, 1.5), [16, 32, 64, 128])],
+                             ids=["table", "gaussian", "gauss_barrier"])
+    def test_phase_error_falls_sixth_order(self, V, steps):
+        # h sqrt(40) < 1 on the coarsest step; the reference takes 8x the
+        # finest count, and errors below 5e-13 are left to rounding
+        mus = np.linspace(0.05, 40.0, 60)
+        ref = _uniform_phases(V, 8 * steps[-1], mus)
+        errs = [np.abs(_uniform_phases(V, n, mus) - ref).max() for n in steps]
+        ratios = [coarse / fine for coarse, fine in zip(errs, errs[1:]) if fine > 5e-13]
+        assert len(ratios) >= 2 and min(ratios) >= 40.0, errs
+
+    @pytest.mark.parametrize("v0", [20.0, -20.0])
+    def test_constant_pieces_take_the_closed_form_step(self, v0):
+        # exp [[0, h], [h q, 0]] in its cosh/sinh form, bit for bit, below and
+        # above the barrier's top
+        V = square_well(v0, 1.0)
+        mus = np.linspace(0.5, 40.0, 7)
+        points, steps = perturbed._mesh(V, 1.0, mus[0], mus[-1], 1e-12)
+        h = np.diff(points)[:, None]
+        assert np.all(steps[[1, 2, 4]] == 0.0) and np.all(steps[[3, 5]] == h.T)
+        q = v0 - mus
+        w2 = h * (h * q)
+        w = np.sqrt(np.abs(w2))
+        cosine = np.where(w2 > 0.0, np.cosh(w), np.cos(w))
+        sine = np.where(np.abs(w2) < 1e-8, 1.0 + w2 / 6.0, np.where(w2 > 0.0, np.sinh(w), np.sin(w)) / w)
+        u, p = np.random.default_rng(7).normal(size=(2, mus.size))
+        ref = perturbed._advance(np.array([[cosine, sine * h], [sine * (h * q), cosine]]), np.array([u, p])[:, None])
+        states = np.concatenate(list(perturbed._magnus(steps, mus, u, p)), axis=1)
+        assert np.array_equal(states, ref)
+
+    def test_potential_read_once_per_mesh(self, monkeypatch):
+        # the breaks and the Gauss points of the one step set, however many
+        # Illinois passes reuse it
+        gauss = gaussian_truncated(-0.5, 0.5, 1.5)
+        calls, passes = [], []
+        V = Potential(gauss.a, lambda x, amplitude: calls.append(1) or gauss.profile(x, amplitude),
+                      gauss.amplitude, gauss.knots)
+        phases = perturbed._phases
+        monkeypatch.setattr(perturbed, "_phases", lambda *args: passes.append(1) or phases(*args))
+        calls.clear()
+        perturbed_eigenvalues(np.arange(1, 201), V, 100.25)
+        assert len(passes) > 2 and len(calls) == 2
+
+    def test_step_counts(self):
+        # at the root tolerance, about 250 steps across the smooth supports
+        # (1,000 at fourth order), and 8 across the README well
+        for V in (gaussian_truncated(-0.5, 0.5, 1.5), _seeded_table(1), self.THREE_KNOT):
+            assert perturbed._mesh(V, V.a, 0.0, math.pi**2, 1e-12)[0].size <= 260
+        assert perturbed._mesh(square_well(-0.5, 1.0), 1.0, 0.0, math.pi**2, 1e-12)[0].size == 9
 
 
 class TestBatchConsistency:

@@ -16,7 +16,6 @@ from .core import (
     SolverFailure,
     SystemConfig,
     build_grid,
-    fermi_grid,
     gaussian_truncated,
     inner_product,
     potential_norms,

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .core import ConfigurationError, SystemConfig, fermi_grid, potential_norms, row_quadrature, smallness_report
+from .core import ConfigurationError, SystemConfig, kernel_quadrature, potential_norms, row_quadrature, smallness_report
 from .free import fermi_energy, free_eigenvalues
 from .metrics import anderson_result, det_bounds
 from .operators import bounds_audit, contour_anderson, gamma_matrix
@@ -74,7 +74,7 @@ def _cmd_gamma(args) -> int:
     nu = args.nu
     if not (nu > 0 and math.isfinite(nu)):
         raise ConfigurationError(f"--nu must be positive and finite, got {nu!r}")
-    grid = fermi_grid(V, V.a, nu, args.nodes_per_wavelength)
+    grid = kernel_quadrature(V, nu, args.nodes_per_wavelength)
     g_s = gamma_scattering(V, nu)
     g_m = gamma_matrix(nu, V, grid)
     g_g = gamma_gkm(V, nu)
@@ -101,7 +101,8 @@ def _cmd_anderson(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     L = SystemConfig(args.rho, args.N).L
     nu = fermi_energy(args.N, L)
-    res = anderson_result(args.N, V, L, row_quadrature(V, L, nu, args.nodes_per_wavelength))
+    kernel = kernel_quadrature(V, nu, args.nodes_per_wavelength)  # checks the flag without --contour too
+    res = anderson_result(args.N, V, L, row_quadrature(V, L, nu))
     print(f"N = {args.N}, L = {L!r}, nu = {nu!r}")
     print(f"anderson_integral I = {res.anderson_integral!r}")
     print(f"ln D = {res.log_transition!r}")
@@ -110,7 +111,7 @@ def _cmd_anderson(args) -> int:
     print(f"M = count_below(nu) = {res.m}")
     print(f"anderson inequality ln D <= -I: {res.log_transition <= -res.anderson_integral + 1e-10}")
     if args.contour:
-        ci = contour_anderson(args.N, V, L, fermi_grid(V, L, nu, args.nodes_per_wavelength))
+        ci = contour_anderson(args.N, V, L, kernel)
         print(f"contour I = {ci!r}")
         print(f"|contour - direct| = {abs(ci - res.anderson_integral)!r}")
     return 0
@@ -142,10 +143,10 @@ def _cmd_audit(args) -> int:
     V = sweep_mod.potential_from_spec(_potential_spec(args))
     L = SystemConfig(args.rho, args.N).L
     nu = fermi_energy(args.N, L)
-    grid = fermi_grid(V, L, nu, args.nodes_per_wavelength)
-    res = anderson_result(args.N, V, L, row_quadrature(V, L, nu, args.nodes_per_wavelength))
-    items = bounds_audit(V, args.N, L, grid, result=res)
-    report = det_bounds(args.N, V, L, grid, result=res)
+    grid = kernel_quadrature(V, nu, args.nodes_per_wavelength)
+    res = anderson_result(args.N, V, L, row_quadrature(V, L, nu))
+    items = bounds_audit(V, args.N, L, grid, res)
+    report = det_bounds(args.N, V, L, None, result=res)
     all_ok = True
     for item in items:
         status = "PASS" if item.passed else "FAIL"

@@ -1,6 +1,7 @@
 """Shared domain objects and decisions: compactly supported potentials, the
-Gauss-Legendre panels of every quadrature (``_panelize``), the nodes of a
-grid on the support of V (``_support``), thermodynamic system configuration,
+Gauss-Legendre panels of every quadrature (``_panelize``; the library's own
+lie on the support of V, broken at its knots, by ``_break_panels``), the nodes
+of a grid on the support of V (``_support``), thermodynamic system configuration,
 potential norms and the weak-coupling measures, integral utilities, and the
 errors (``ConfigurationError``, ``SolverFailure``).
 
@@ -32,7 +33,6 @@ __all__ = [
     "smallness_report",
     "Grid",
     "build_grid",
-    "fermi_grid",
     "support_quadrature",
     "inner_product",
     "v_transform",
@@ -248,14 +248,6 @@ def build_grid(L: float, wavenumber_hint: float, support,
     return Grid(nodes, weights, bounds)
 
 
-def fermi_grid(V: Potential, L: float, nu: float, nodes_per_wavelength: int = 16) -> Grid:
-    """Grid on [-L, L] resolving the Fermi wavenumber sqrt(nu), with panel
-    breaks at the support of V.  With L = V.a it covers the support alone,
-    which is all the operator routes read."""
-    return build_grid(L, math.sqrt(nu), support=(-V.a, V.a),
-                      nodes_per_wavelength=nodes_per_wavelength)
-
-
 def _support(V: Potential, grid: Grid):
     """The nodes of ``grid`` on the support of V, |x| <= a, and their weights."""
     mask = np.abs(grid.nodes) <= V.a
@@ -272,13 +264,23 @@ def support_quadrature(V: Potential) -> Grid:
     return _break_panels(V, 2.0 * V.a / 16)
 
 
-def row_quadrature(V: Potential, L: float, nu: float, nodes_per_wavelength: int) -> Grid:
-    """A row's support quadrature in the box [-L, L]: ``_break_panels`` at ``build_grid``'s density
-    off the support, at the largest local wavenumber or decay rate sqrt(nu + sup |V|).  Raises
-    ``build_grid``'s ``ConfigurationError`` unless [-a, a] lies in [-L, L]."""
+def kernel_quadrature(V: Potential, nu: float, nodes_per_wavelength: int) -> Grid:
+    """The operator routes' quadrature: ``_break_panels`` at ``build_grid``'s support width, half of
+    one nodes_per_wavelength-th of the Fermi wavelength 2 pi / sqrt(nu), since their kernels carry a
+    kink at x = y inside every panel.  Raises ``ConfigurationError`` below 8 nodes per wavelength."""
+    if nodes_per_wavelength < 8:
+        raise ConfigurationError("need at least 8 nodes per wavelength")
+    return _break_panels(V, 0.5 * (2.0 * math.pi / math.sqrt(nu)) / nodes_per_wavelength)
+
+
+def row_quadrature(V: Potential, L: float, nu: float) -> Grid:
+    """A row's support quadrature in the box [-L, L]: ``_break_panels`` at 16 nodes per wavelength of
+    the largest local wavenumber or decay rate sqrt(nu + sup |V|), one panel of ``NODES_PER_PANEL``
+    nodes per 3/4 of that wavelength.  The density reads only V and nu.  Raises ``build_grid``'s
+    ``ConfigurationError`` unless [-a, a] lies in [-L, L]."""
     k = math.sqrt(nu + V.sup_abs)
-    _box_support(L, k, (-V.a, V.a), nodes_per_wavelength)
-    return _break_panels(V, NODES_PER_PANEL * 2.0 * math.pi / (k * nodes_per_wavelength))
+    _box_support(L, k, (-V.a, V.a), 16)
+    return _break_panels(V, NODES_PER_PANEL * 2.0 * math.pi / (k * 16))
 
 
 @dataclass(frozen=True)
@@ -293,10 +295,9 @@ class PotentialNorms:
     linf_minus: float  # ||min(V, 0)||_inf
 
 
-def potential_norms(V: Potential, grid: Grid | None = None) -> PotentialNorms:
-    """Quadrature norms of V; the sup norms are read off V's exact extremes."""
-    if grid is None:
-        grid = support_quadrature(V)
+def potential_norms(V: Potential) -> PotentialNorms:
+    """Norms of V by ``support_quadrature``; the sup norms are read off V's exact extremes."""
+    grid = support_quadrature(V)
     x, w = grid.nodes, grid.weights
     v = V(x)
     av = np.abs(v)

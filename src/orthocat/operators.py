@@ -30,7 +30,6 @@ from .free import (
     green_kernel,
 )
 from .perturbed import count_below
-from . import metrics as _metrics
 
 __all__ = [
     "NystromOperator",
@@ -237,17 +236,11 @@ class AuditItem:
         return self.rhs - self.lhs
 
 
-def bounds_audit(
-    V: Potential,
-    N: int,
-    L: float,
-    grid: Grid,
-    s_samples=(0.0, 0.1, 1.0, 5.0),
-    result=None,
-) -> list[AuditItem]:
-    """Numerical check of the operator-norm inequalities on sampled contour
-    points, plus the overlap-determinant inequality and the discrete sum
-    estimate.  Violations are reported, not raised."""
+def bounds_audit(V: Potential, N: int, L: float, grid: Grid, result) -> list[AuditItem]:
+    """Numerical check of the operator-norm inequalities at the contour points
+    s = 0, 0.1, 1 and 5, plus the overlap-determinant inequality of the row
+    ``result`` (an ``AndersonResult``) and the discrete sum estimate.  Only the
+    grid's support nodes are read.  Violations are reported, not raised."""
     nu = fermi_energy(N, L)
     root = math.sqrt(nu)
     norms = potential_norms(V)
@@ -257,7 +250,7 @@ def bounds_audit(
     phi = free_eigenfunction_matrix(N, L, x)
     items: list[AuditItem] = []
 
-    for s in s_samples:
+    for s in (0.0, 0.1, 1.0, 5.0):
         z = fermi_contour_point(nu, s)
         arg = L * (root + 1j * s)
         envelope = 4.0 * math.exp(-2.0 * L * abs(s))
@@ -288,8 +281,6 @@ def bounds_audit(
     items.append(AuditItem("plane_wave_kernel_norm",
                            NystromOperator(x, w, sq[:, None] * kern_g * sq[None, :]).norm(), norms.l1))
 
-    if result is None:
-        result = _metrics.anderson_result(N, V, L, grid)
     items.append(
         AuditItem(
             "overlap_vs_anderson_exponential",

@@ -23,8 +23,8 @@ from .core import (
     Potential,
     SolverFailure,
     SystemConfig,
-    fermi_grid,
     gaussian_truncated,
+    kernel_quadrature,
     row_quadrature,
     smallness_report,
     square_well,
@@ -79,6 +79,8 @@ class SweepConfig:
         SystemConfig(self.rho, self.n_list[0])  # a finite positive density, and N >= 1
         if self.workers < 1:
             raise ConfigurationError("workers must be a positive integer")
+        if self.nodes_per_wavelength < 8:
+            raise ConfigurationError("need at least 8 nodes per wavelength")
 
 
 def _floats(text) -> list:
@@ -190,7 +192,7 @@ class SweepResult:
 def _run_row(config: SweepConfig, n: int) -> SweepRow:
     V = potential_from_spec(config.potential)
     system = SystemConfig(config.rho, n)
-    res = anderson_result(n, V, system.L, row_quadrature(V, system.L, system.nu, config.nodes_per_wavelength))
+    res = anderson_result(n, V, system.L, row_quadrature(V, system.L, system.nu))
     return SweepRow(n, system.L, res.anderson_integral, res.log_transition, res.defect_norm, res.m, "ok")
 
 
@@ -226,8 +228,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     g_gkm = gamma_gkm(V, nu)
 
     npw = config.nodes_per_wavelength
-    g_matrix = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, npw))
-    g_matrix_fine = gamma_matrix(nu, V, fermi_grid(V, V.a, nu, 2 * npw))
+    g_matrix = gamma_matrix(nu, V, kernel_quadrature(V, nu, npw))
+    g_matrix_fine = gamma_matrix(nu, V, kernel_quadrature(V, nu, 2 * npw))
     residuals = tuple(r.anderson - g_scatter * math.log(r.n) for r in good)
 
     return SweepResult(

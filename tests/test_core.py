@@ -6,9 +6,11 @@ from scipy.integrate import quad
 
 from orthocat.core import (
     ConfigurationError,
+    _support,
     build_grid,
     gaussian_truncated,
     inner_product,
+    kernel_quadrature,
     potential_norms,
     scale_potential,
     square_well,
@@ -59,11 +61,26 @@ class TestBuildGrid:
         grid = grid_for(L)
         assert abs(np.sum(grid.weights) - 2 * L) < 1e-12 * 2 * L
 
+    @pytest.mark.parametrize("npw", [8, 16, 32])
+    @pytest.mark.parametrize("nu", [math.pi**2 / 4.0, 2.0, math.pi**2, 4.0 * math.pi**2])
+    def test_kernel_quadrature_is_the_box_grid_on_the_support(self, npw, nu, gauss_bump):
+        # where V breaks only at -a, 0 and a, the operator routes read the
+        # nodes and weights they read off a box grid, bit for bit
+        for V in (square_well(-0.5, 1.0), gauss_bump, square_well(20.0, 1.0)):
+            panels = kernel_quadrature(V, nu, npw)
+            for L in (V.a, 5.25, 400.25):
+                x, w = _support(V, build_grid(L, math.sqrt(nu), (-V.a, V.a), npw))
+                assert np.array_equal(panels.nodes, x) and np.array_equal(panels.weights, w)
+
+    def test_kernel_quadrature_rejects_sparse_panels(self, gauss_bump):
+        with pytest.raises(ConfigurationError, match="at least 8 nodes"):
+            kernel_quadrature(gauss_bump, math.pi**2, 4)
+
 
 class TestPotentials:
-    def test_square_well_norms(self, grid_L1):
+    def test_square_well_norms(self):
         V = square_well(-0.5, 1.0)
-        norms = potential_norms(V, grid_L1)
+        norms = potential_norms(V)
         assert abs(norms.l1 - 1.0) < 1e-12
         assert norms.linf == 0.5
         assert norms.l1_plus == 0.0
@@ -127,7 +144,7 @@ class TestPotentials:
 class TestVTransform:
     def test_s_zero_gives_l1(self, gauss_bump):
         grid = grid_for(2.0, a=1.5)
-        norms = potential_norms(gauss_bump, grid)
+        norms = potential_norms(gauss_bump)
         assert abs(v_transform(gauss_bump, 2.0, 0.0, grid) - norms.l1) < 1e-12
 
     def test_square_well_closed_form(self, grid_L1):

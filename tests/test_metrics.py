@@ -227,7 +227,7 @@ def _row_overlap(name, n):
     """A row's overlap at unit density in a box that holds the support at every N."""
     V = FACTOR_POTENTIALS[name]
     L = (n + 0.5) / 2.0 + V.a
-    return overlap_matrix(n, V, L, row_quadrature(V, L, math.pi**2, 16))
+    return overlap_matrix(n, V, L, row_quadrature(V, L, math.pi**2))
 
 
 def _gaps(a):
@@ -257,7 +257,7 @@ class TestFactorization:
     @pytest.mark.parametrize("n", [1, 9, 200, 800])
     def test_free_case_settles(self, n):
         L = (n + 0.5) / 2.0 + 1.0
-        ov = overlap_matrix(n, V_FREE, L, row_quadrature(V_FREE, L, math.pi**2, 16))
+        ov = overlap_matrix(n, V_FREE, L, row_quadrature(V_FREE, L, math.pi**2))
         assert defect_norm(ov) < 1e-12
 
     def test_reruns_are_bit_identical(self):

@@ -9,9 +9,10 @@ from orthocat.core import (
     ConfigurationError,
     SolverFailure,
     build_grid,
-    fermi_grid,
     gaussian_truncated,
+    kernel_quadrature,
     potential_norms,
+    row_quadrature,
     scale_potential,
     square_well,
     table_potential,
@@ -43,6 +44,9 @@ from orthocat.scattering import gamma_scattering
 from conftest import grid_for
 
 NU = math.pi**2
+
+# sqrt|V| has kinks at -0.77 and 0.31, which no panel edge of a box grid meets
+KNOT_TABLE = table_potential([-1.5, -0.77, 0.31, 1.5], [0.0, 0.6, -0.4, 0.0])
 
 STRUCTURED_POTENTIALS = {
     "well(-0.5)": square_well(-0.5, 1.0),
@@ -281,6 +285,13 @@ class TestGammaMatrix:
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
 
+    @pytest.mark.parametrize("nu", [NU / 4.0, NU])
+    def test_table_panels_break_at_knots(self, nu):
+        # broken at the knots, npw 16 misses by 9.3e-6 and 1.6e-5 relative;
+        # panels across them missed by 9.5e-5 and 1.2e-4
+        g = gamma_matrix(nu, KNOT_TABLE, kernel_quadrature(KNOT_TABLE, nu, 16))
+        assert g == pytest.approx(gamma_scattering(KNOT_TABLE, nu), rel=3e-5)
+
     def test_born_quadratic_coefficient(self, well_attractive):
         # to leading order the 2x2 reduction is linear in V, so gamma scales
         # like c^2 with the explicit first-order matrix
@@ -338,6 +349,17 @@ class TestContourAnderson:
         assert res.m == N
         ci = contour_anderson(N, V, L, grid)
         assert abs(ci / res.anderson_integral - 1.0) <= 1e-4
+
+    def test_table_matches_direct_row(self):
+        # broken at the knots, npw 16 misses the row by 1.3e-9; panels across
+        # them missed by 2.4e-8
+        N = 10
+        L = (N + 0.5) / 2.0
+        nu = fermi_energy(N, L)
+        res = anderson_result(N, KNOT_TABLE, L, row_quadrature(KNOT_TABLE, L, nu))
+        assert res.m == N
+        ci = contour_anderson(N, KNOT_TABLE, L, kernel_quadrature(KNOT_TABLE, nu, 16))
+        assert abs(ci - res.anderson_integral) <= 5e-9
 
     @pytest.mark.parametrize("N", [10, 40])
     def test_repulsive_well_matches_direct_route(self, N):
@@ -483,7 +505,7 @@ class TestStructuredSolve:
     def test_phi_hat_matches_dense_solve(self, name):
         # real k: the whole-line kernel sin(k|x-y|) / 2k at the Fermi energy
         V = STRUCTURED_POTENTIALS[name]
-        grid = fermi_grid(V, V.a, NU, 16)
+        grid = kernel_quadrature(V, NU, 16)
         x, w = _support(V, grid)
         k = math.sqrt(NU)
         sq = np.sqrt(np.abs(V(x)))
@@ -550,7 +572,7 @@ class TestStructuredSolve:
         ci = contour_anderson(N, V, L, grid_for(L, nu=fermi_energy(N, L), npw=8))
         assert abs(ci / 6.34933095728265e-05 - 1.0) <= 1e-12
         W = square_well(-0.5, 1.0)
-        g = gamma_matrix(NU, W, fermi_grid(W, W.a, NU, 16))
+        g = gamma_matrix(NU, W, kernel_quadrature(W, NU, 16))
         assert abs(g / 1.250663341054007e-03 - 1.0) <= 1e-12
 
 
@@ -558,7 +580,7 @@ class TestBoundsAudit:
     def test_zero_potential_trivial(self):
         V = square_well(0.0, 1.0)
         L = 5.25
-        items = bounds_audit(V, 10, L, grid_for(L), s_samples=(0.0, 1.0))
+        items = bounds_audit(V, 10, L, grid_for(L), anderson_result(10, V, L, grid_for(L)))
         assert all(item.passed for item in items)
 
     @pytest.mark.parametrize("v0", [-0.5, 0.5])
@@ -566,12 +588,12 @@ class TestBoundsAudit:
         V = square_well(v0, 1.0)
         N = 20
         L = (N + 0.5) / 2.0
-        items = bounds_audit(V, N, L, grid_for(L))
+        items = bounds_audit(V, N, L, grid_for(L), anderson_result(N, V, L, grid_for(L)))
         for item in items:
             assert item.passed, f"{item.name}: lhs={item.lhs} rhs={item.rhs}"
 
     def test_sum_estimate_item_present(self, well_weak):
         L = 5.25
-        items = bounds_audit(well_weak, 10, L, grid_for(L), s_samples=(0.0,))
+        items = bounds_audit(well_weak, 10, L, grid_for(L), anderson_result(10, well_weak, L, grid_for(L)))
         names = [item.name for item in items]
         assert "half_integer_sum_estimate" in names

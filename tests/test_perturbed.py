@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from orthocat import perturbed
-from orthocat.core import (Potential, SolverFailure, SystemConfig, fermi_grid, gaussian_truncated,
+from orthocat.core import (Potential, SolverFailure, SystemConfig, build_grid, gaussian_truncated,
                            potential_norms, row_quadrature, square_well, table_potential)
 from orthocat.free import fermi_energy, free_eigenfunction_matrix, free_eigenvalue
 from orthocat.metrics import anderson_result
@@ -187,7 +187,7 @@ class TestSquareWellOverlapOracle:
         I_ref, log_d_ref = _well_overlap_oracle(v0, N)
         system = SystemConfig(1.0, N)
         V = square_well(v0, 1.0)
-        res = anderson_result(N, V, system.L, fermi_grid(V, system.L, system.nu))
+        res = anderson_result(N, V, system.L, build_grid(system.L, math.sqrt(system.nu), support=(-V.a, V.a)))
         for got, ref in ((res.anderson_integral, I_ref), (res.log_transition, log_d_ref)):
             assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
             assert abs(got - ref) <= 1e-12, (got, ref)
@@ -269,7 +269,7 @@ class TestWallMatching:
 
     @BOUND_STATE_POTENTIALS
     def test_bound_state_residual_measures_eigenvalue_error(self, V):
-        grid = fermi_grid(V, self.L, math.pi**2)
+        grid = build_grid(self.L, math.pi, support=(-V.a, V.a))
         mu = perturbed_eigenvalue(1, V, self.L)
         assert perturbed_eigenfunction(1, mu, V, self.L, grid).endpoint_residual < 1e-12
         off = perturbed_eigenfunction(1, mu * (1 + 1e-8), V, self.L, grid).endpoint_residual
@@ -567,7 +567,8 @@ class TestPerturbedEigenfunction:
         # the box comes from L, not from the grid: a grid on the support alone
         # (half_length = a) gives the state that a grid on [-L, L] gives
         L = 20.25
-        box, support = fermi_grid(V, L, math.pi**2), row_quadrature(V, L, math.pi**2, 16)
+        box = build_grid(L, math.pi, support=(-V.a, V.a))
+        support = row_quadrature(V, L, math.pi**2)
         assert support.half_length == V.a
         for k in (1, 2, 7, 20):
             mu = perturbed_eigenvalue(k, V, L)

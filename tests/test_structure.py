@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import orthocat
-from orthocat import sweep
+from orthocat import cli, sweep
 from orthocat.sweep import CONFIG_KEYS, SweepConfig
 
 SRC = Path(orthocat.__file__).parent
@@ -36,34 +36,64 @@ def test_no_module_imports_scipy_integrate():
 _SVD_ROUTINES = {"svd", "svdvals"}
 
 
-def _calls_an_svd(path):
-    """Whether a module calls a routine named svd or svdvals, as an attribute
+def _calls(path, routines):
+    """Whether a module calls a routine of the given names, as an attribute
     (``np.linalg.svd``) or by a bare name."""
     return any(isinstance(node, ast.Call)
-               and (getattr(node.func, "attr", None) in _SVD_ROUTINES
-                    or getattr(node.func, "id", None) in _SVD_ROUTINES)
+               and (getattr(node.func, "attr", None) in routines
+                    or getattr(node.func, "id", None) in routines)
                for node in ast.walk(ast.parse(path.read_text())))
 
 
 def test_no_module_calls_an_svd():
     # a row reads I, ln D and the defect off |A|_F^2, one LU and a block
     # iteration; the audit's dense 2-norms go through numpy.linalg.norm
-    assert sorted(path.name for path in SRC.glob("*.py") if _calls_an_svd(path)) == []
+    assert sorted(path.name for path in SRC.glob("*.py") if _calls(path, _SVD_ROUTINES)) == []
+
+
+def test_no_module_builds_a_box_grid():
+    # every quadrature the library builds for itself is a set of panels on the
+    # support of V; build_grid serves the benchmark and the tests
+    assert sorted(path.name for path in SRC.glob("*.py") if _calls(path, {"build_grid"})) == []
+    defined = {node.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "fermi_grid" not in defined
+
+
+def test_operators_do_not_import_metrics():
+    # the audit takes the row it audits instead of solving one
+    tree = ast.parse((SRC / "operators.py").read_text())
+    relative = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                for name in [node.module or ""] + [alias.name for alias in node.names]}
+    assert "metrics" not in relative
 
 
 def test_sweep_rows_read_the_support_alone(monkeypatch):
-    # every row of a sweep on the README well gets a quadrature inside [-a, a],
-    # not a grid on its box
-    boundaries, row = [], sweep.anderson_result
+    # every row of a sweep on the README well, its two gamma_matrix grids, and
+    # the grids the command line hands to the contour route and the audit get
+    # a quadrature inside [-a, a], not a grid on a box
+    boundaries, row, gamma = [], sweep.anderson_result, sweep.gamma_matrix
 
     def recording(n, V, L, grid):
         boundaries.append(grid.panel_boundaries)
         return row(n, V, L, grid)
 
+    def recording_gamma(nu, V, grid):
+        boundaries.append(grid.panel_boundaries)
+        return gamma(nu, V, grid)
+
     monkeypatch.setattr(sweep, "anderson_result", recording)
+    monkeypatch.setattr(sweep, "gamma_matrix", recording_gamma)
     sweep.run_sweep(SweepConfig(potential={"family": "square_well", "v0": "-0.5", "a": "1.0"},
                                 rho=1.0, n_list=(5, 10, 20)))
-    assert len(boundaries) == 3
+    assert len(boundaries) == 5
+
+    monkeypatch.setattr(cli, "contour_anderson", lambda n, V, L, grid: boundaries.append(grid.panel_boundaries) or 0.0)
+    monkeypatch.setattr(cli, "bounds_audit", lambda V, n, L, grid, result: boundaries.append(grid.panel_boundaries) or [])
+    well = ["--potential", "square_well", "--v0", "0.1", "--a", "1", "--N", "10", "--rho", "1"]
+    assert cli.cli_main(["anderson", "--contour"] + well) == 0
+    assert cli.cli_main(["audit"] + well) == 0
+    assert len(boundaries) == 7
     assert all(b[0] >= -1.0 and b[-1] <= 1.0 for b in boundaries)
 
 
@@ -127,12 +157,8 @@ def test_settings_surface_is_pinned():
     assert defaulted == [
         "cli.cli_main.argv",
         "core.build_grid.nodes_per_wavelength",
-        "core.fermi_grid.nodes_per_wavelength",
-        "core.potential_norms.grid",
         "metrics.det_bounds.result",
         "operators.birman_schwinger.L",
-        "operators.bounds_audit.result",
-        "operators.bounds_audit.s_samples",
         "operators.omega_operator.L",
         "operators.omega_operator.nu",
         "perturbed.perturbed_eigenvalue.tol",

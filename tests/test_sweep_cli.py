@@ -8,7 +8,7 @@ import pytest
 
 import orthocat.sweep as sweep_mod
 from orthocat.cli import cli_main
-from orthocat.core import ConfigurationError, SystemConfig, fermi_grid
+from orthocat.core import ConfigurationError, SystemConfig, build_grid
 from orthocat.metrics import anderson_result
 from orthocat.sweep import (
     CSV_HEADER,
@@ -303,6 +303,17 @@ class TestSettings:
             f"[output]\ncsv = {tmp_path}/o.csv\njson = {tmp_path}/o.json\n")
         assert load_config(str(path)).json_path.endswith("o.json")
 
+    def test_sparse_grid_key_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch):
+        # the rows do not read nodes_per_wavelength, so the config itself
+        # rejects a density the operator routes cannot use
+        path = tmp_path / "s.toml"
+        path.write_text(CONFIG_HEAD + "\n[grid]\nnodes_per_wavelength = 4\n")
+        rows = []
+        monkeypatch.setattr(sweep_mod, "_run_row", lambda config, n: rows.append(n))
+        assert cli_main(["sweep", "--config", str(path)]) == 2
+        assert "need at least 8 nodes per wavelength" in capsys.readouterr().err
+        assert rows == []
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         path = tmp_path / "readme.ini"
@@ -431,7 +442,8 @@ def test_rows_converge(spec, n, rel_i, rel_log_d):
     # a row matches a box grid at npw 64
     row = sweep_mod._run_row(SweepConfig(potential=spec, rho=1.0, n_list=(n,)), n)
     V, system = potential_from_spec(spec), SystemConfig(1.0, n)
-    ref = anderson_result(n, V, system.L, fermi_grid(V, system.L, system.nu, 64))
+    ref = anderson_result(n, V, system.L, build_grid(system.L, math.sqrt(system.nu), support=(-V.a, V.a),
+                                                      nodes_per_wavelength=64))
     assert row.status == "ok"
     assert row.anderson == pytest.approx(ref.anderson_integral, rel=rel_i)
     assert row.log_transition == pytest.approx(ref.log_transition, rel=rel_log_d)

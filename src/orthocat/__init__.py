@@ -17,35 +17,20 @@ from .core import (
     SystemConfig,
     build_grid,
     gaussian_truncated,
-    inner_product,
     potential_norms,
-    scale_potential,
     smallness_report,
     square_well,
     support_quadrature,
     table_potential,
-    v_transform,
 )
 from .free import (
-    FreeEigenpair,
     NearSpectrumError,
-    TruncatedResolventParts,
-    commutator_kernel,
-    delta_term_kernel,
     fermi_contour_point,
     fermi_energy,
-    free_eigenpair,
-    free_eigenfunction,
     free_eigenfunction_matrix,
     free_eigenvalue,
     free_eigenvalues,
     green_kernel,
-    kappa_n,
-    kappa_tilde_n,
-    squared_resolvent_apply,
-    tau,
-    truncated_resolvent_decomposed,
-    truncated_resolvent_direct,
 )
 from .metrics import (
     AndersonResult,
@@ -57,17 +42,14 @@ from .metrics import (
     det_bounds,
     log_transition_probability,
     overlap_matrix,
-    transition_probability,
 )
 from .operators import (
     AuditItem,
     NystromOperator,
-    OmegaOperator,
     birman_schwinger,
     bounds_audit,
     contour_anderson,
     gamma_matrix,
-    omega_operator,
     phi_hat,
     sign_operator,
 )

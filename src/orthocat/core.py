@@ -2,8 +2,8 @@
 Gauss-Legendre panels of every quadrature (``_panelize``; the library's own
 lie on the support of V, broken at its knots, by ``_break_panels``), the nodes
 of a grid on the support of V (``_support``), thermodynamic system configuration,
-potential norms and the weak-coupling measures, integral utilities, and the
-errors (``ConfigurationError``, ``SolverFailure``).
+potential norms and the weak-coupling measures, and the errors
+(``ConfigurationError``, ``SolverFailure``).
 
 All quantities use natural units (hbar = 2m = 1), so the kinetic operator is
 -d^2/dx^2, energies are squared wavenumbers, and lengths are inverse
@@ -26,7 +26,6 @@ __all__ = [
     "square_well",
     "gaussian_truncated",
     "table_potential",
-    "scale_potential",
     "PotentialNorms",
     "potential_norms",
     "SmallnessReport",
@@ -34,8 +33,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "support_quadrature",
-    "inner_product",
-    "v_transform",
     "SystemConfig",
 ]
 
@@ -143,11 +140,6 @@ def table_potential(xs, values) -> Potential:
     return Potential(a, partial(_table, xs), values, xs[(xs > -a) & (xs < a)])
 
 
-def scale_potential(V: Potential, c: float) -> Potential:
-    """The potential c*V with the same support."""
-    return Potential(V.a, V.profile, c * V.amplitude, V.knots)
-
-
 @dataclass(frozen=True)
 class Grid:
     """Composite Gauss-Legendre quadrature on [-L, L].
@@ -176,9 +168,6 @@ class Grid:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def integrate(self, values) -> complex:
-        return np.dot(self.weights, values)
 
 
 # Gauss-Legendre order of every quadrature panel in the package, and its rule
@@ -332,27 +321,6 @@ def smallness_report(V: Potential, nu: float) -> SmallnessReport:
     q_phi = 0.5 * l1 / root
     c_phi = 1.0 / (1.0 - q_phi) if q_phi < 1.0 else math.inf
     return SmallnessReport(4.0 * l1 / root, 1.5 * l1 / root, q_phi, l1 * c_phi / root)
-
-
-def inner_product(f, g, grid: Grid):
-    """L^2 scalar product sum(w * conj(f) * g); anti-linear in the first slot."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (grid.size,) or g.shape != (grid.size,):
-        raise ValueError(
-            f"sample length mismatch: f {f.shape}, g {g.shape}, grid {grid.size}"
-        )
-    return np.sum(grid.weights * np.conj(f) * g)
-
-
-def v_transform(V: Potential, L: float, s: float, grid: Grid) -> float:
-    """Exponentially weighted absolute integral of V over [-L, L],
-    integral of |V(x)| e^{s |x|} dx."""
-    if s < 0:
-        raise ValueError("the transform is defined for s >= 0")
-    x, w = grid.nodes, grid.weights
-    mask = np.abs(x) <= L
-    return float(np.sum(w[mask] * np.abs(V(x[mask])) * np.exp(s * np.abs(x[mask]))))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
-"""Exact objects of the free Dirichlet problem -u'' = z u on [-L, L]:
-spectra, Green function, commutator and boundary (delta) kernels, the
-truncated resolvent and its Laplace-transform decomposition.
+"""Exact objects of the free Dirichlet problem -u'' = z u on [-L, L]: the
+spectrum and its eigenfunctions, the Fermi energy and contour, the Green
+function, the quadratic form of the squared resolvent, and an O(n) solver for
+systems in the Green kernel.
 
-Everything here is closed form or one-dimensional quadrature on Gauss panels
-(``core._panelize``); no potential enters.  On a set of n points the kernels
-are built from O(n) rescaled sine and cosine factors (semi-separable in
-min(x, y) and max(x, y), or separable), so they remain finite for complex
-energies far from the real axis even when L is large, and the squared
-resolvent is applied, or its quadratic form taken, through prefix sums
-without being formed.  Systems 1 - diag(a) K diag(d) in an outgoing wave
+Everything here is closed form; no potential enters.  On a set of n points the
+Green kernel and the squared resolvent are built from O(n) rescaled sine and
+cosine factors (semi-separable in min(x, y) and max(x, y), or separable), so
+they remain finite for complex energies far from the real axis even when L is
+large, and the quadratic form of the squared resolvent is taken through prefix
+sums without forming it.  Systems 1 - diag(a) K diag(d) in an outgoing wave
 kernel plus a rank-two separable part, the Green kernel among them, are
 solved in O(n) through a (2, 2)-banded system in 2n unknowns
 (``_helmholtz_solve``).
@@ -17,33 +17,20 @@ solved in O(n) through a (2, 2)-banded system in 2n unknowns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .core import SolverFailure, _panelize
+from .core import SolverFailure
 
 __all__ = [
     "NearSpectrumError",
-    "FreeEigenpair",
-    "free_eigenpair",
     "free_eigenvalue",
     "free_eigenvalues",
-    "free_eigenfunction",
     "free_eigenfunction_matrix",
     "fermi_energy",
     "fermi_contour_point",
     "green_kernel",
-    "commutator_kernel",
-    "delta_term_kernel",
-    "squared_resolvent_apply",
-    "truncated_resolvent_direct",
-    "TruncatedResolventParts",
-    "truncated_resolvent_decomposed",
-    "kappa_n",
-    "kappa_tilde_n",
-    "tau",
 ]
 
 
@@ -58,34 +45,9 @@ def free_eigenvalue(j: int, L: float) -> float:
     return (math.pi * j / (2.0 * L)) ** 2
 
 
-@dataclass(frozen=True)
-class FreeEigenpair:
-    """Index, energy, and parity branch (even j -> sine, odd j -> cosine)."""
-
-    j: int
-    energy: float
-    parity: str
-
-    def eigenfunction(self, L: float, x):
-        return free_eigenfunction(self.j, L, x)
-
-
-def free_eigenpair(j: int, L: float) -> FreeEigenpair:
-    return FreeEigenpair(j, free_eigenvalue(j, L), "even" if j % 2 == 0 else "odd")
-
-
 def free_eigenvalues(L: float, jmax: int) -> np.ndarray:
     j = np.arange(1, jmax + 1)
     return (math.pi * j / (2.0 * L)) ** 2
-
-
-def free_eigenfunction(j: int, L: float, x):
-    """Normalized eigenfunction: sin(pi j x / 2L)/sqrt(L) for even j,
-    cos(pi j x / 2L)/sqrt(L) for odd j."""
-    x = np.asarray(x, dtype=float)
-    arg = math.pi * j / (2.0 * L) * x
-    out = (np.sin(arg) if j % 2 == 0 else np.cos(arg)) / math.sqrt(L)
-    return out if out.ndim else float(out)
 
 
 def free_eigenfunction_matrix(n: int, L: float, x) -> np.ndarray:
@@ -164,20 +126,6 @@ def green_kernel(z, x, y, L: float):
     return out if out.ndim else complex(out)
 
 
-def commutator_kernel(z, x, y, L: float):
-    """Kernel of the position-gradient commutator correction to the squared
-    resolvent, [max v'(max) u(min) + min v(max) u'(min)] / (2 sin(2 L sqrt(z)))
-    with u, v the Green-function factors and u', v' their cosine partners:
-    rank-two semi-separable.  Cost and domain as ``green_kernel``."""
-    _, w, [(ux, vx), (uy, vy)] = _factors(z, L, x, y)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    first = x <= y
-    us, uc = (np.where(first, a, b) for a, b in zip(ux, uy))
-    vs, vc = (np.where(first, b, a) for a, b in zip(vx, vy))
-    out = (np.maximum(x, y) * vc * us + np.minimum(x, y) * vs * uc) / (2.0 * w)
-    return out if out.ndim else complex(out)
-
-
 def _delta_factors(rz: complex, L: float, t):
     """sin(sqrt(z) t) / sin(sqrt(z) L) and cos(sqrt(z) t) / cos(sqrt(z) L),
     both computed at the scale e^{-|Im sqrt(z)| L}, finite for |t| <= L."""
@@ -187,25 +135,6 @@ def _delta_factors(rz: complex, L: float, t):
         raise NearSpectrumError("sin(L sqrt(z)) or cos(L sqrt(z)) vanishes")
     s, c = _trig(rz * np.asarray(t, dtype=float), shift)
     return s / sL, c / cL
-
-
-def delta_term_kernel(z, x, y, L: float):
-    """Rank-two boundary kernel
-    (L/4) [sin(sqrt(z) x) sin(sqrt(z) y) / sin^2(sqrt(z) L)
-           + cos(sqrt(z) x) cos(sqrt(z) y) / cos^2(sqrt(z) L)],
-    from one sine and one cosine factor per point; finite for |x|, |y| <= L."""
-    rz = complex(_sqrt_energy(z))
-    (sx, cx), (sy, cy) = _delta_factors(rz, L, x), _delta_factors(rz, L, y)
-    out = 0.25 * L * (sx * sy + cx * cy)
-    return out if out.ndim else complex(out)
-
-
-def _semiseparable_apply(a, b, Y):
-    """sum_j a(min(t_i, t_j)) b(max(t_i, t_j)) Y_j at sorted points t, from
-    a prefix sum over j <= i and a suffix sum over j > i."""
-    head = np.cumsum(a[:, None] * Y, axis=0)
-    tail = np.cumsum((b[:, None] * Y)[:0:-1], axis=0)[::-1]
-    return b[:, None] * head + a[:, None] * np.concatenate([tail, np.zeros_like(head[:1])])
 
 
 def _semiseparable_form(a, b, Y):
@@ -301,22 +230,6 @@ def _squared_resolvent_generators(z, t, L: float):
     return [(scale * us, vs / rz - t * vc), (-scale * t * uc, vs)], [root * ds, root * dc]
 
 
-def squared_resolvent_apply(z, x, Y, L: float):
-    """sum_j R(z)^2(x_i, x_j) Y[j] at the points x, for Y of shape (n, r).
-    The kernel sum_j phi_j(x) phi_j(y) / (z - lambda_j)^2 is rank-two
-    semi-separable plus rank-two separable (``_squared_resolvent_generators``),
-    so the product takes prefix sums over the sorted points, O(n r), and the
-    kernel is never formed."""
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(x, kind="stable")
-    t, Y = x[order], np.asarray(Y)[order]
-    pairs, deltas = _squared_resolvent_generators(z, t, L)
-    out = sum(_semiseparable_apply(a, b, Y) for a, b in pairs) + sum(np.outer(f, f @ Y) for f in deltas)
-    result = np.empty_like(out)
-    result[order] = out
-    return result
-
-
 def _squared_resolvent_form(z, x, Y, L: float):
     """Y[:, j]^T R(z)^2 Y[:, j] for every column of Y (no conjugation) at
     sorted points x, in O(n r): one prefix sum per semi-separable generator
@@ -326,140 +239,3 @@ def _squared_resolvent_form(z, x, Y, L: float):
         raise ValueError("points must be sorted")
     pairs, deltas = _squared_resolvent_generators(z, x, L)
     return sum(_semiseparable_form(a, b, Y) for a, b in pairs) + sum((f @ Y) ** 2 for f in deltas)
-
-
-def truncated_resolvent_direct(n: int, z, x, y, L: float):
-    """Spectral sum over the first n modes, sum_j phi_j(x) phi_j(y)/(z - lambda_j);
-    broadcasts (x, y) elementwise like the kernel routines."""
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    shape = xb.shape
-    if n == 0:
-        out = np.zeros(shape, dtype=complex)
-        return out if shape else 0j
-    lam = free_eigenvalues(L, n)
-    px = free_eigenfunction_matrix(n, L, xb.ravel())
-    py = free_eigenfunction_matrix(n, L, yb.ravel())
-    vals = np.einsum("j,jp,jp->p", 1.0 / (complex(z) - lam), px, py)
-    return vals.reshape(shape) if shape else complex(vals[0])
-
-
-def _kappa_integral(zeta: float, M: float, tilde: bool = False) -> float:
-    """Laplace integral over v in [0, inf) on graded Gauss panels: the first
-    0.25 / (zeta + M + 1/2) wide, where the fastest exponential varies, then
-    doubling out to 40 / (zeta - M + 1/2), where the slowest has fallen to
-    e^{-40}.  Both integrands use only decaying exponentials, so they stay
-    finite for any v."""
-    slow, fast = zeta - M + 0.5, zeta + M + 0.5
-    edges = [0.0, 0.25 / fast]
-    while edges[-1] < 40.0 / slow:
-        edges.append(2.0 * edges[-1])
-    v, w, _ = _panelize(edges, np.diff(edges))  # one panel per interval
-    if tilde:
-        f = (np.exp(-slow * v) + np.exp(-fast * v)) / (1.0 + np.exp(-v))
-    else:
-        f = np.exp(-slow * v) * np.expm1(-2.0 * M * v) / np.expm1(-v)
-    return float(np.dot(w, f))
-
-
-def kappa_n(N: int) -> float:
-    """Laplace constant integral_0^inf e^{-(N+1/2)t} sinh((N+1/2)t)/sinh(t/2) dt;
-    grows like log(4N+3) with a remainder in [0, 2]."""
-    if N < 1:
-        raise ValueError("index starts at 1")
-    M = N + 0.5
-    return _kappa_integral(M, M, tilde=False)
-
-
-def kappa_tilde_n(N: int) -> float:
-    """Companion constant with cosh ratios; bounded by 4 for all N."""
-    if N < 1:
-        raise ValueError("index starts at 1")
-    M = N + 0.5
-    return _kappa_integral(M, M, tilde=True)
-
-
-def _sine_ratio(u, M: float):
-    """sin(M u)/sin(u/2), analytic on |u| < 2 pi (value 2M at u = 0)."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-150
-    safe = np.where(small, 1.0, u)
-    out = np.sin(M * safe) / np.sin(0.5 * safe)
-    return np.where(small, 2.0 * M, out)
-
-
-def _cosine_ratio(u, M: float, sin_Mpi: float):
-    """cos(M u)/cos(u/2) through its sine form around u = pi, which stays
-    well-conditioned at the removable point u = pi (M half-integer)."""
-    d = np.asarray(u, dtype=float) - math.pi
-    small = np.abs(d) < 1e-150
-    safe = np.where(small, 1.0, d)
-    out = sin_Mpi * np.sin(M * safe) / np.sin(0.5 * safe)
-    return np.where(small, sin_Mpi * 2.0 * M, out)
-
-
-def _oscillatory_panel_integral(f, A: float, max_freq: float):
-    """Oriented integral of f over [0, A] on panels short enough that the
-    fastest oscillation covers at most half a period per panel."""
-    if A == 0.0:
-        return 0.0
-    width = math.pi / (2.0 * max(max_freq, 1.0))
-    u, w, _ = _panelize([min(0.0, A), max(0.0, A)], [width])
-    return math.copysign(1.0, A) * np.dot(w, f(u))
-
-
-@dataclass(frozen=True)
-class TruncatedResolventParts:
-    """Pieces of the Laplace decomposition of the truncated resolvent kernel at
-    real energy above the retained modes."""
-
-    kappa: float
-    kappa_tilde: float
-    s0: float
-    s0_tilde: float
-    s1: float
-    s1_tilde: float
-    value: float
-
-
-def truncated_resolvent_decomposed(n: int, z: float, x: float, y: float, L: float) -> TruncatedResolventParts:
-    """Closed-form decomposition of the truncated resolvent kernel: constants
-    from Laplace integrals times plane-wave kernels, minus finite oscillatory
-    corrections.  Requires real z with sqrt(z) > pi n / 2L."""
-    z = float(z)
-    if not (z > 0 and math.sqrt(z) > math.pi * n / (2.0 * L)):
-        raise ValueError("decomposition needs real z with sqrt(z) > pi n / 2L")
-    rz = math.sqrt(z)
-    zeta = 2.0 * L * rz / math.pi
-    M = n + 0.5
-    sin_Mpi = math.sin(M * math.pi)
-
-    kappa = _kappa_integral(zeta, M, tilde=False)
-    kappa_t = _kappa_integral(zeta, M, tilde=True)
-    s0 = math.cos(rz * (x - y)) / (2.0 * math.pi * rz)
-    s0_t = math.cos(rz * (x + y)) / (2.0 * math.pi * rz)
-
-    a_minus = math.pi * (x - y) / (2.0 * L)
-    a_plus = math.pi * (x + y) / (2.0 * L)
-    max_freq = zeta + M
-
-    def f_minus(u):
-        return np.sin(zeta * (u - a_minus)) * _sine_ratio(u, M)
-
-    def f_plus(u):
-        return np.sin(zeta * (u - a_plus)) * _cosine_ratio(u, M, sin_Mpi)
-
-    s1 = _oscillatory_panel_integral(f_minus, a_minus, max_freq) / (2.0 * math.pi * rz)
-    s1_t = _oscillatory_panel_integral(f_plus, a_plus, max_freq) / (2.0 * math.pi * rz)
-
-    sign = -1.0 if n % 2 else 1.0
-    value = kappa * s0 - s1 - sign * (kappa_t * s0_t - s1_t)
-    return TruncatedResolventParts(kappa, kappa_t, s0, s0_t, s1, s1_t, value)
-
-
-def tau(s):
-    """Unimodular factor (cosh s - i sinh s)/(cosh s + i sinh s); equals 1 at
-    s = 0 and tends to -i as s -> +inf."""
-    s_arr = np.asarray(s, dtype=float)
-    th = np.tanh(s_arr)
-    out = (1.0 - 1j * th) / (1.0 + 1j * th)
-    return np.asarray(out) if s_arr.ndim else complex(out)

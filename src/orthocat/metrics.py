@@ -25,7 +25,6 @@ __all__ = [
     "overlap_matrix",
     "anderson_integral",
     "log_transition_probability",
-    "transition_probability",
     "defect_norm",
     "AndersonResult",
     "anderson_result",
@@ -72,12 +71,6 @@ def log_transition_probability(overlap: OverlapMatrix) -> float:
     -inf if a pivot is zero."""
     sign, log_det = np.linalg.slogdet(overlap.matrix[:, : overlap.n])
     return -math.inf if sign == 0 else 2.0 * float(log_det)
-
-
-def transition_probability(overlap: OverlapMatrix) -> float:
-    """|det A|^2; may underflow to zero for large N, in which case the log
-    form remains meaningful."""
-    return math.exp(log_transition_probability(overlap))
 
 
 def defect_norm(overlap: OverlapMatrix) -> float:

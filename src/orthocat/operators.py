@@ -1,5 +1,5 @@
 """Nystrom discretization of the sandwiched operator calculus: the
-Birman-Schwinger operator, its resolvent inverse, the 2x2 reduction that
+Birman-Schwinger operator, the 2x2 reduction that
 yields the matrix route to gamma(nu), the contour representation of the
 Anderson integral, and a numerical audit of the operator-norm inequalities.
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize, _support, potential_norms, smallness_report
+from .core import ConfigurationError, Grid, Potential, SolverFailure, _panelize, _support, potential_norms
 from .free import (
     _green_kernel_solve,
     _helmholtz_solve,
@@ -35,8 +35,6 @@ __all__ = [
     "NystromOperator",
     "sign_operator",
     "birman_schwinger",
-    "OmegaOperator",
-    "omega_operator",
     "phi_hat",
     "gamma_matrix",
     "contour_anderson",
@@ -82,43 +80,6 @@ def birman_schwinger(z, V: Potential, grid: Grid, L: float | None = None) -> Nys
     sq = np.sqrt(np.abs(V(x)))
     kern = green_kernel(z, x[:, None], x[None, :], L)
     return NystromOperator(x, w, sq[:, None] * kern * sq[None, :])
-
-
-@dataclass(frozen=True)
-class OmegaOperator:
-    """Inverse (1 - sqrt(|V|) R(z) sqrt(|V|) J)^{-1} with its norm."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    matrix: np.ndarray
-    sign: np.ndarray
-    norm: float
-
-
-def omega_operator(z, V: Potential, grid: Grid, L: float | None = None,
-                   nu: float | None = None) -> OmegaOperator:
-    """Resolvent inverse of the Birman-Schwinger operator at z.
-
-    When the coupling measure q_omega is below one the returned norm is
-    checked against its Neumann bound 1/(1 - q_omega); a violation would
-    indicate a corrupted discretization rather than an unlucky potential.
-    """
-    bs = birman_schwinger(z, V, grid, L)
-    J = sign_operator(V, bs.nodes)
-    system = np.eye(bs.nodes.size, dtype=complex) - bs.matrix * J[None, :]
-    try:
-        omega = np.linalg.solve(system, np.eye(bs.nodes.size, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"Birman-Schwinger system singular at z = {z}; "
-                            "z may coincide with a perturbed eigenvalue") from exc
-    sw = np.sqrt(bs.weights)
-    norm = float(np.linalg.norm(sw[:, None] * omega / sw[None, :], 2))
-    if nu is None:
-        nu = abs(complex(z))
-    rep = smallness_report(V, nu)
-    if rep.q_omega < 1.0 and norm > rep.c_omega * (1.0 + 1e-8):
-        raise SolverFailure(f"Neumann bound violated: |Omega| = {norm} > {rep.c_omega}")
-    return OmegaOperator(bs.nodes, bs.weights, omega, J, norm)
 
 
 def phi_hat(nu: float, V: Potential, grid: Grid) -> np.ndarray:

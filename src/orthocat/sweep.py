@@ -30,7 +30,6 @@ from .core import (
     square_well,
     table_potential,
 )
-from .free import NearSpectrumError
 from .metrics import anderson_result
 from .operators import gamma_matrix
 from .perturbed import AmbiguousEnergyError
@@ -59,8 +58,7 @@ CONFIG_KEYS = {"potential": ("family", "v0", "a", "sigma", "abscissae", "values"
 # Failures that mark one row as failed: a box smaller than the support, or a
 # numerical failure.  Any other exception is a fault in the program and
 # propagates.
-_ROW_FAILURES = (ConfigurationError, SolverFailure, AmbiguousEnergyError,
-                 NearSpectrumError, np.linalg.LinAlgError)
+_ROW_FAILURES = (ConfigurationError, SolverFailure, AmbiguousEnergyError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)

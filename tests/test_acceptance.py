@@ -18,14 +18,7 @@ from orthocat.core import (
     square_well,
     table_potential,
 )
-from orthocat.free import (
-    fermi_energy,
-    free_eigenvalue,
-    kappa_n,
-    kappa_tilde_n,
-    truncated_resolvent_decomposed,
-    truncated_resolvent_direct,
-)
+from orthocat.free import fermi_energy, free_eigenvalue
 from orthocat.metrics import anderson_result, det_bounds, overlap_matrix
 from orthocat.operators import bounds_audit, contour_anderson, gamma_matrix
 from orthocat.perturbed import (
@@ -38,6 +31,7 @@ from orthocat.scattering import gamma_gkm, gamma_scattering, scattering_coeffici
 from orthocat.sweep import CSV_HEADER, SweepConfig, run_sweep, write_csv
 
 from conftest import grid_for
+from reference import kappa_n, kappa_tilde_n, truncated_resolvent_decomposed, truncated_resolvent_direct
 
 NU = math.pi**2
 

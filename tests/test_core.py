@@ -9,18 +9,16 @@ from orthocat.core import (
     _support,
     build_grid,
     gaussian_truncated,
-    inner_product,
     kernel_quadrature,
     potential_norms,
-    scale_potential,
     square_well,
     support_quadrature,
-    v_transform,
     SystemConfig,
 )
-from orthocat.free import free_eigenfunction
+from orthocat.free import free_eigenfunction_matrix
 
 from conftest import grid_for
+from reference import scale_potential, v_transform
 
 
 class TestBuildGrid:
@@ -28,11 +26,11 @@ class TestBuildGrid:
         assert abs(np.sum(grid_L1.weights) - 2.0) < 1e-12 * 2.0
 
     def test_odd_function_integrates_to_zero(self, grid_L1):
-        assert abs(grid_L1.integrate(grid_L1.nodes)) < 1e-12
+        assert abs(grid_L1.weights @ grid_L1.nodes) < 1e-12
 
     def test_sin_squared_integral(self, grid_L1):
         # antiderivative x/2 - sin(pi x)/(2 pi) on [-1, 1] gives exactly 1
-        val = grid_L1.integrate(np.sin(0.5 * math.pi * grid_L1.nodes) ** 2)
+        val = grid_L1.weights @ np.sin(0.5 * math.pi * grid_L1.nodes) ** 2
         assert abs(val - 1.0) < 1e-12
 
     def test_polynomial_exactness(self):
@@ -41,7 +39,7 @@ class TestBuildGrid:
         coeffs = rng.standard_normal(18)
         poly = np.polynomial.Polynomial(coeffs)
         exact = poly.integ()(2.0) - poly.integ()(-2.0)
-        val = grid.integrate(poly(grid.nodes))
+        val = grid.weights @ poly(grid.nodes)
         assert abs(val - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_panel_boundaries_include_support_and_origin(self):
@@ -164,26 +162,21 @@ class TestVTransform:
 
 class TestInnerProduct:
     def test_ground_state_normalized(self, grid_L1):
-        phi1 = free_eigenfunction(1, 1.0, grid_L1.nodes)
-        assert abs(inner_product(phi1, phi1, grid_L1) - 1.0) < 1e-10
+        phi1 = free_eigenfunction_matrix(1, 1.0, grid_L1.nodes)[0]
+        assert abs(grid_L1.weights @ (phi1 * phi1) - 1.0) < 1e-10
 
     def test_distinct_modes_orthogonal(self, grid_L1):
-        phi1 = free_eigenfunction(1, 1.0, grid_L1.nodes)
-        phi2 = free_eigenfunction(2, 1.0, grid_L1.nodes)
-        assert abs(inner_product(phi1, phi2, grid_L1)) < 1e-10
+        phi1, phi2 = free_eigenfunction_matrix(2, 1.0, grid_L1.nodes)
+        assert abs(grid_L1.weights @ (phi1 * phi2)) < 1e-10
 
     def test_parity_orthogonality(self, grid_L1):
-        assert abs(inner_product(np.cos(grid_L1.nodes), np.sin(grid_L1.nodes), grid_L1)) < 1e-12
+        assert abs(grid_L1.weights @ (np.cos(grid_L1.nodes) * np.sin(grid_L1.nodes))) < 1e-12
 
     def test_antilinear_first_slot(self, grid_L1):
         # (i f, f) = -i (f, f) = -i * 2 on [-1, 1] for f = e^{ix}
         f = np.exp(1j * grid_L1.nodes)
-        val = inner_product(1j * f, f, grid_L1)
+        val = grid_L1.weights @ (np.conj(1j * f) * f)
         assert val.imag == pytest.approx(-2.0, rel=1e-12)
-
-    def test_length_mismatch_raises(self, grid_L1):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner_product(np.ones(3), np.ones(grid_L1.size), grid_L1)
 
 
 class TestSystemConfig:

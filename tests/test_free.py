@@ -6,15 +6,16 @@ import pytest
 from orthocat.core import build_grid
 from orthocat.free import (
     NearSpectrumError,
-    commutator_kernel,
-    delta_term_kernel,
     fermi_contour_point,
     fermi_energy,
-    free_eigenfunction,
     free_eigenfunction_matrix,
     free_eigenvalue,
     free_eigenvalues,
     green_kernel,
+)
+
+from conftest import grid_for
+from reference import (
     kappa_n,
     kappa_tilde_n,
     squared_resolvent_apply,
@@ -22,8 +23,6 @@ from orthocat.free import (
     truncated_resolvent_decomposed,
     truncated_resolvent_direct,
 )
-
-from conftest import grid_for
 
 
 # Pointwise reference kernels: every entry evaluated from its own exponentials
@@ -68,8 +67,9 @@ def _ref_delta(z, x, y, L):
 
 
 def _squared_resolvent_kernel(z, x, y, L):
-    """(D - C + G/2) / z from the three library kernels."""
-    return (delta_term_kernel(z, x, y, L) - commutator_kernel(z, x, y, L)
+    """(D - C + G/2) / z from the library's Green kernel and the pointwise
+    references of the other two."""
+    return (_ref_delta(z, x, y, L) - _ref_commutator(z, x, y, L)
             + 0.5 * green_kernel(z, x, y, L)) / z
 
 
@@ -87,17 +87,17 @@ class TestFreeSpectrum:
 
     def test_dirichlet_boundary(self):
         for j in (1, 2, 7, 12):
-            assert abs(free_eigenfunction(j, 2.5, 2.5)) < 1e-12
-            assert abs(free_eigenfunction(j, 2.5, -2.5)) < 1e-12
+            assert abs(free_eigenfunction_matrix(j, 2.5, 2.5)[-1, 0]) < 1e-12
+            assert abs(free_eigenfunction_matrix(j, 2.5, -2.5)[-1, 0]) < 1e-12
 
     def test_center_value(self):
-        assert free_eigenfunction(1, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+        assert free_eigenfunction_matrix(1, 1.0, 0.0)[0, 0] == pytest.approx(1.0, rel=1e-15)
 
     def test_normalization_on_grid(self):
         grid = build_grid(1.0, math.pi / 2.0, support=(-1.0, 1.0))
         for j in range(1, 21):
-            phi = free_eigenfunction(j, 1.0, grid.nodes)
-            assert abs(grid.integrate(phi * phi) - 1.0) < 1e-10
+            phi = free_eigenfunction_matrix(j, 1.0, grid.nodes)[-1]
+            assert abs(grid.weights @ (phi * phi) - 1.0) < 1e-10
 
     def test_fermi_midpoint_in_wavenumber(self):
         # sqrt(nu_N) sits exactly halfway between sqrt(lambda_N) and sqrt(lambda_{N+1})
@@ -112,15 +112,6 @@ class TestFreeSpectrum:
             arg = L * math.sqrt(fermi_energy(N, L))
             assert math.sin(arg) ** 2 == pytest.approx(0.5, rel=1e-12)
             assert math.cos(arg) ** 2 == pytest.approx(0.5, rel=1e-12)
-
-    def test_eigenpair_record(self):
-        from orthocat.free import free_eigenpair
-
-        pair = free_eigenpair(3, 2.0)
-        assert pair.parity == "odd"
-        assert pair.energy == free_eigenvalue(3, 2.0)
-        assert pair.eigenfunction(2.0, 0.0) == free_eigenfunction(3, 2.0, 0.0)
-        assert free_eigenpair(4, 2.0).parity == "even"
 
 
 class TestGreenKernel:
@@ -174,7 +165,7 @@ class TestGreenKernel:
 
 class TestCommutatorKernel:
     def test_zero_at_origin(self):
-        assert commutator_kernel(2.0 + 1j, 0.0, 0.0, 1.0) == 0.0
+        assert _ref_commutator(2.0 + 1j, 0.0, 0.0, 1.0) == 0.0
 
     def test_contour_bound(self):
         N, L = 6, 2.0
@@ -185,12 +176,12 @@ class TestCommutatorKernel:
             for _ in range(4):
                 x, y = rng.uniform(-L, L, 2)
                 bound = 2.0 * (abs(x) + abs(y)) * math.exp(-abs(s) * abs(x - y))
-                assert abs(commutator_kernel(z, x, y, L)) <= bound * (1 + 1e-9) + 1e-300
+                assert abs(_ref_commutator(z, x, y, L)) <= bound * (1 + 1e-9) + 1e-300
 
     def test_symmetry(self):
         z = -0.7 + 0.2j
-        assert commutator_kernel(z, 0.4, -0.9, 1.5) == pytest.approx(
-            commutator_kernel(z, -0.9, 0.4, 1.5), rel=1e-12
+        assert _ref_commutator(z, 0.4, -0.9, 1.5) == pytest.approx(
+            _ref_commutator(z, -0.9, 0.4, 1.5), rel=1e-12
         )
 
 
@@ -204,12 +195,12 @@ class TestDeltaTermKernel:
         for _ in range(6):
             x, y = rng.uniform(-L, L, 2)
             expected = 0.5 * L * math.cos(math.sqrt(nu) * (x - y))
-            assert delta_term_kernel(nu, x, y, L) == pytest.approx(expected, rel=1e-11, abs=1e-11)
+            assert _ref_delta(nu, x, y, L) == pytest.approx(expected, rel=1e-11, abs=1e-11)
 
     def test_symmetry(self):
         z = 3.1 + 0.4j
-        assert delta_term_kernel(z, 0.7, -0.2, 1.2) == pytest.approx(
-            delta_term_kernel(z, -0.2, 0.7, 1.2), rel=1e-12
+        assert _ref_delta(z, 0.7, -0.2, 1.2) == pytest.approx(
+            _ref_delta(z, -0.2, 0.7, 1.2), rel=1e-12
         )
 
     def test_annihilated_by_helmholtz_operator(self):
@@ -217,15 +208,12 @@ class TestDeltaTermKernel:
         z, L, y0 = complex(-2.5), 1.3, -0.47
         h = 1e-4
         for x0 in (-0.6, 0.21, 0.8):
-            f = lambda x: delta_term_kernel(z, x, y0, L)
+            f = lambda x: _ref_delta(z, x, y0, L)
             resid = z * f(x0) + (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
             assert abs(resid) < 1e-6 * abs(f(x0))
 
 
 class TestKernelsFromFactors:
-    KERNELS = [(green_kernel, _ref_green), (commutator_kernel, _ref_commutator),
-               (delta_term_kernel, _ref_delta)]
-
     @pytest.mark.parametrize("L", [1.0, 5.25, 40.0])
     def test_match_pointwise_reference(self, L):
         # 301 nodes across the box, or across [-5.25, 5.25] in the long box
@@ -235,12 +223,11 @@ class TestKernelsFromFactors:
             nu = fermi_energy(N, L)
             for s in (0.0, 0.5, 5.0, 30.0):
                 z = fermi_contour_point(nu, s)
-                for kernel, ref in self.KERNELS:
-                    got = kernel(z, x[:, None], x[None, :], L)
-                    want = ref(z, x[:, None], x[None, :], L)
-                    assert got.shape == (301, 301)
-                    err = np.abs(got - want).max()
-                    assert err <= 1e-12 * np.abs(want).max(), (kernel.__name__, N, s, err)
+                got = green_kernel(z, x[:, None], x[None, :], L)
+                want = _ref_green(z, x[:, None], x[None, :], L)
+                assert got.shape == (301, 301)
+                err = np.abs(got - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), (N, s, err)
 
     def test_finite_to_far_end_of_contour(self):
         # support of half-width 1.5, s out to the contour's far end 128 and
@@ -256,8 +243,7 @@ class TestKernelsFromFactors:
         with np.errstate(over="raise", invalid="raise"):
             for s in (64.0, 128.0, 400.0):
                 z = fermi_contour_point(nu, s)
-                for kernel, _ in self.KERNELS:
-                    assert np.all(np.isfinite(kernel(z, x[:, None], x[None, :], L)))
+                assert np.all(np.isfinite(green_kernel(z, x[:, None], x[None, :], L)))
                 assert np.all(np.isfinite(squared_resolvent_apply(z, x, Y, L)))
 
     def test_domain_limit_raises(self):
@@ -265,9 +251,8 @@ class TestKernelsFromFactors:
         L = 5.25
         z = fermi_contour_point(fermi_energy(10, L), 400.0)
         x = np.linspace(-2.0, 2.0, 11)
-        for kernel in (green_kernel, commutator_kernel):
-            with pytest.raises(ValueError, match="domain"):
-                kernel(z, x[:, None], x[None, :], L)
+        with pytest.raises(ValueError, match="domain"):
+            green_kernel(z, x[:, None], x[None, :], L)
         with pytest.raises(ValueError, match="domain"):
             squared_resolvent_apply(z, x, np.ones(11), L)
         # inside the domain at the same s
@@ -277,9 +262,8 @@ class TestKernelsFromFactors:
         z, L = 2.0 + 1.5j, 1.3
         x = np.array([-0.9, 0.1, 0.7])
         y = np.array([0.4, 0.1, -1.2])
-        for kernel, ref in self.KERNELS:
-            assert kernel(z, x, y, L) == pytest.approx(ref(z, x, y, L), rel=1e-13)
-            assert isinstance(kernel(z, 0.2, -0.5, L), complex)
+        assert green_kernel(z, x, y, L) == pytest.approx(_ref_green(z, x, y, L), rel=1e-13)
+        assert isinstance(green_kernel(z, 0.2, -0.5, L), complex)
 
 
 class TestSquaredResolvent:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from orthocat import metrics
-from orthocat.core import (gaussian_truncated, potential_norms, row_quadrature,
-                           scale_potential, square_well, table_potential)
+from orthocat.core import gaussian_truncated, potential_norms, row_quadrature, square_well, table_potential
 from orthocat.free import free_eigenvalues
 from orthocat.metrics import (
     anderson_integral,
@@ -15,11 +14,11 @@ from orthocat.metrics import (
     det_bounds,
     log_transition_probability,
     overlap_matrix,
-    transition_probability,
 )
 from orthocat.perturbed import eigenpairs
 
 from conftest import box_samples, grid_for
+from reference import scale_potential
 
 V_FREE = square_well(0.0, 1.0)
 
@@ -132,15 +131,13 @@ class TestAndersonIntegral:
 class TestTransitionProbability:
     def test_free_case_unity(self):
         N, L = 20, 10.25
-        ov = overlap_matrix(N, V_FREE, L, grid_for(L))
-        assert transition_probability(ov) == pytest.approx(1.0, abs=1e-10)
+        assert anderson_result(N, V_FREE, L, grid_for(L)).transition == pytest.approx(1.0, abs=1e-10)
 
-    def test_in_unit_interval(self, weak_instance, table_mixed):
-        _, _, _, ov = weak_instance
-        assert 0.0 <= transition_probability(ov) <= 1.0 + 1e-12
+    def test_in_unit_interval(self, weak_instance, well_weak, table_mixed):
+        N, L, grid, _ = weak_instance
+        assert 0.0 <= anderson_result(N, well_weak, L, grid).transition <= 1.0 + 1e-12
         N, L = 8, 4.25
-        ov2 = overlap_matrix(N, table_mixed, L, grid_for(L))
-        assert 0.0 <= transition_probability(ov2) <= 1.0 + 1e-12
+        assert 0.0 <= anderson_result(N, table_mixed, L, grid_for(L)).transition <= 1.0 + 1e-12
 
     def test_lu_vs_gram_determinant(self, weak_instance):
         _, _, _, ov = weak_instance

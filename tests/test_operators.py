@@ -13,7 +13,7 @@ from orthocat.core import (
     kernel_quadrature,
     potential_norms,
     row_quadrature,
-    scale_potential,
+    smallness_report,
     square_well,
     table_potential,
 )
@@ -25,7 +25,6 @@ from orthocat.free import (
     fermi_contour_point,
     fermi_energy,
     green_kernel,
-    squared_resolvent_apply,
 )
 from orthocat.metrics import anderson_result
 from orthocat.operators import (
@@ -34,14 +33,13 @@ from orthocat.operators import (
     bounds_audit,
     contour_anderson,
     gamma_matrix,
-    omega_operator,
     phi_hat,
     sign_operator,
-    smallness_report,
 )
 from orthocat.scattering import gamma_scattering
 
 from conftest import grid_for
+from reference import omega_operator, scale_potential, squared_resolvent_apply
 
 NU = math.pi**2
 

@@ -559,7 +559,7 @@ class TestPerturbedEigenfunction:
         mu = perturbed_eigenvalue(3, gauss_bump, L)
         pair = perturbed_eigenfunction(3, mu, gauss_bump, L, grid)
         psi = box_samples(pair.psi, pair.walls, mu, gauss_bump, grid)[0]
-        assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
+        assert grid.weights @ psi**2 == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("V", [square_well(-0.5, 1.0), gaussian_truncated(0.3, 0.5, 1.5)],
                              ids=["well", "gaussian"])
@@ -584,7 +584,7 @@ class TestPerturbedEigenfunction:
         assert mu < 0
         pair = perturbed_eigenfunction(1, mu, well_attractive, L, grid)
         psi = box_samples(pair.psi, pair.walls, mu, well_attractive, grid)[0]
-        assert grid.integrate(psi**2) == pytest.approx(1.0, abs=1e-8)
+        assert grid.weights @ psi**2 == pytest.approx(1.0, abs=1e-8)
         assert np.all(np.isfinite(psi))
 
 

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from orthocat.cli import cli_main
-from orthocat.core import SolverFailure, scale_potential, square_well, table_potential
+from orthocat.core import SolverFailure, gaussian_truncated, kernel_quadrature, square_well, table_potential
 from orthocat import scattering
+from orthocat.operators import gamma_matrix
 from orthocat.scattering import (
     gamma_gkm,
     gamma_scattering,
     s_matrix,
     scattering_coefficients,
 )
+
+from reference import born_gamma, scale_potential
 
 NU = math.pi**2
 
@@ -238,6 +241,41 @@ class TestGammaRoutes:
             ratios.append(gamma_scattering(scale_potential(well_attractive, c), NU) / c**2)
         assert abs(ratios[2] - ratios[1]) < abs(ratios[1] - ratios[0])
         assert abs(ratios[1] - ratios[0]) < 0.05 * ratios[0]
+
+
+BORN_POTENTIALS = {
+    "well": lambda v0: square_well(v0, 1.0),
+    "gauss": lambda v0: gaussian_truncated(v0, 0.5, 1.5),
+    "table": lambda v0: table_potential([-1.5, -0.77, 0.31, 1.5], [0.0, 6.0 * v0, -4.0 * v0, 0.0]),
+}
+BORN_ROUTES = {
+    "scattering": gamma_scattering,
+    "gkm": gamma_gkm,
+    "matrix": lambda V, nu: gamma_matrix(nu, V, kernel_quadrature(V, nu, 16)),
+}
+
+
+class TestBornOracle:
+    # gamma(v0 V) = born (1 + c1 v0 + c2 v0^2 + ...) with born ~ v0^2, so the
+    # even part (gamma(+v0) + gamma(-v0)) / 2 misses born by O(v0^2)
+    # relative and the odd part is O(v0)
+    @pytest.mark.parametrize("nu", [NU / 4, NU, 4 * NU], ids=["nu_pi2_over_4", "nu_pi2", "nu_4pi2"])
+    @pytest.mark.parametrize("potential", BORN_POTENTIALS)
+    @pytest.mark.parametrize("route", BORN_ROUTES)
+    def test_even_part_matches_born(self, route, potential, nu):
+        def gaps(v0):
+            plus, minus = (BORN_ROUTES[route](BORN_POTENTIALS[potential](v), nu) for v in (v0, -v0))
+            born = born_gamma(BORN_POTENTIALS[potential](v0), nu)
+            return 0.5 * (plus + minus) / born - 1.0, 0.5 * (plus - minus) / born
+
+        even_large, odd_large = gaps(0.05)
+        even, odd = gaps(0.005)
+        assert abs(even) <= 1e-4  # 3.7e-5 at worst, the table at nu = pi^2
+        # v0 ten times smaller: the even gap falls about 100-fold, down to the
+        # rounding of 1 - Re t (2e-9 relative on the well at nu = pi^2), and
+        # the odd part 10-fold
+        assert abs(even) <= abs(even_large) / 80 + 5e-9
+        assert abs(odd) <= abs(odd_large) / 8
 
 
 class TestSMatrix:

@@ -159,8 +159,6 @@ def test_settings_surface_is_pinned():
         "core.build_grid.nodes_per_wavelength",
         "metrics.det_bounds.result",
         "operators.birman_schwinger.L",
-        "operators.omega_operator.L",
-        "operators.omega_operator.nu",
         "perturbed.perturbed_eigenvalue.tol",
         "perturbed.perturbed_eigenvalues.tol",
         "perturbed.prufer_phase.tol",
@@ -174,3 +172,58 @@ def test_settings_surface_is_pinned():
         "grid": ("nodes_per_wavelength",),
         "output": ("csv", "json"),
     }, _NEEDS_A_CALLER
+
+
+def _public_names():
+    """module.name for every name in a module's ``__all__`` and for every name
+    that ``orthocat/__init__.py`` imports from a module."""
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                yield from (f"{path.stem}.{elt.value}" for elt in node.value.elts)
+            elif path.stem == "__init__" and isinstance(node, ast.ImportFrom) and node.level:
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _used_names(tree):
+    """(owner, identifier) for every Name and Attribute a module's code reads;
+    the owner is the top-level definition that holds it, or None.  Imports and
+    the ``__all__`` list are not uses."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            continue
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield owner, sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield owner, sub.attr
+
+
+def _benchmark_names():
+    """Identifiers and string constants of ``perfbench/``: the tracer hooks
+    its targets by strings such as ``"perturbed_eigenfunction"``."""
+    names = set()
+    for path in (SRC.parent.parent / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_public_names_have_a_caller():
+    # every public name is used by the library, outside its own definition, or
+    # by the benchmark; code only the tests call belongs in tests/reference.py
+    uses = {(path.stem, owner, name) for path in SRC.glob("*.py") if path.stem != "__init__"
+            for owner, name in _used_names(ast.parse(path.read_text()))}
+    benchmark = _benchmark_names()
+    unused = sorted({qualified for qualified in _public_names()
+                     for module, name in [qualified.split(".")]
+                     if name not in benchmark
+                     and not any(used == name and (where, owner) != (module, name)
+                                 for where, owner, used in uses)})
+    assert unused == []
